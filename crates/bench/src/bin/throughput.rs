@@ -7,7 +7,7 @@
 //! p50/p99 measure enqueue → decision (queueing + window residency +
 //! inference) rather than whole-batch residency.
 //!
-//! Headline comparisons (schema v4):
+//! Headline comparisons (schema v5):
 //!
 //! * **Batched speedup** — the same 64-home stream served with
 //!   `batch_window = 1` (single-row inference per query) versus
@@ -22,6 +22,12 @@
 //!   decision. The run doubles as the recovery-determinism gate: its
 //!   outcomes and snapshot bytes must be bitwise equal to the
 //!   uninterrupted oracle.
+//! * **Online recovery** (v5) — the same chaos plan with continual
+//!   learning on and two policy swaps, served through
+//!   [`ServingRuntime::serve_online_supervised`]. SPL folds grow the safe
+//!   tables between WAL checkpoints, so this is the run that exercises
+//!   dirty-home checkpoints and copy-on-write tables; its outcomes and
+//!   snapshot bytes must be bitwise equal to the `serve_online` oracle.
 //! * **Degraded-mode throughput** — the stream served with the neural
 //!   path offline (every query answered by the SPL safe-table fallback);
 //!   the `degraded_ratio_gate` requires it to stay within 0.5× of healthy
@@ -52,8 +58,8 @@
 //! * `--json <path>`  — write the measurements as a JSON baseline.
 //! * `--check <path>` — compare against a recorded baseline and exit
 //!   non-zero when the gated batched path got more than 2× slower, the
-//!   shard-4/shard-1 p99 ratio exceeds the baseline's recorded gate, the
-//!   chaos run was not bitwise identical to the oracle, degraded-mode
+//!   shard-4/shard-1 p99 ratio exceeds the baseline's recorded gate,
+//!   either chaos run was not bitwise identical to its oracle, degraded-mode
 //!   throughput fell below the recorded ratio gate, the median swap stall
 //!   exceeded one batch window, or the drift-adaptation run regressed
 //!   (continual false alarms above frozen, or detection below 1.0).
@@ -179,30 +185,59 @@ struct RecoveryStats {
 /// Serve the 64-home stream through the supervisor with seeded panics
 /// injected, measuring throughput, recovery times, and bitwise recovery
 /// determinism against an uninterrupted oracle run.
-fn run_recovery(f: &Fixture, homes: u32) -> (Measurement, RecoveryStats) {
+///
+/// With `online` set, continual learning is on and the stream carries two
+/// policy swaps: the chaos run goes through `serve_online_supervised` and
+/// the oracle is `serve_online`. SPL folds then grow the safe tables
+/// between checkpoints, so recovery must restore each dirty home's
+/// pre-fold table from its checkpoint — the copy-on-write path.
+fn run_recovery(f: &Fixture, homes: u32, online: bool) -> (Measurement, RecoveryStats) {
     let fleet = FleetGenerator::new(42, homes);
+    let fresh = || {
+        let (mut rt, version) = if online {
+            let (rt, version) = online_rt(f, homes, 1);
+            (rt, Some(version))
+        } else {
+            (build_rt(f, homes, 1, 64, true), None)
+        };
+        let envelopes =
+            rt.ingest_fleet_day(&fleet, 0, None, Some(QUERY_EVERY)).expect("ingest").envelopes;
+        (rt, version, envelopes)
+    };
     // Uninterrupted oracle on a fresh runtime.
-    let mut oracle_rt = build_rt(f, homes, 1, 64, true);
-    let envelopes =
-        oracle_rt.ingest_fleet_day(&fleet, 0, None, Some(QUERY_EVERY)).expect("ingest").envelopes;
-    let want = oracle_rt.serve(envelopes).expect("oracle serve");
+    let (mut oracle_rt, version, envelopes) = fresh();
+    let n = envelopes.len() as u64;
+    let swaps: Vec<SwapPoint> = version.map_or_else(Vec::new, |version| {
+        vec![SwapPoint { at_seq: n / 3, version }, SwapPoint { at_seq: 2 * n / 3, version: 0 }]
+    });
+    let want = if online {
+        oracle_rt.serve_online(envelopes, &swaps)
+    } else {
+        oracle_rt.serve(envelopes)
+    }
+    .expect("oracle serve");
     let want_snap = oracle_rt.snapshot().to_json();
 
     // The chaos run: a panic on every 499th envelope, single attempt each,
     // unlimited restart budget so every crash is recovered (not degraded).
-    let mut rt = build_rt(f, homes, 1, 64, true);
-    let envelopes =
-        rt.ingest_fleet_day(&fleet, 0, None, Some(QUERY_EVERY)).expect("ingest").envelopes;
+    let (mut rt, _, envelopes) = fresh();
     let events = envelopes.len();
     let chaos = ChaosInjector::new(ChaosPlan::periodic_panic(42, 499, 1))
         .expect("chaos plan")
         .schedule(envelopes.iter().map(|e| e.seq).collect::<Vec<_>>());
-    let mut sup = SupervisorConfig::default();
-    sup.restart_budget = u32::MAX;
-    sup.checkpoint_every = 64;
+    let sup = SupervisorConfig {
+        restart_budget: u32::MAX,
+        checkpoint_every: 64,
+        ..SupervisorConfig::default()
+    };
 
     let t0 = Instant::now();
-    let got = rt.serve_supervised(envelopes, &sup, Some(&chaos)).expect("supervised serve");
+    let got = if online {
+        rt.serve_online_supervised(envelopes, &sup, Some(&chaos), &swaps)
+    } else {
+        rt.serve_supervised(envelopes, &sup, Some(&chaos))
+    }
+    .expect("supervised serve");
     let secs = t0.elapsed().as_secs_f64();
 
     let deterministic = want.outcomes == got.report.outcomes
@@ -215,8 +250,9 @@ fn run_recovery(f: &Fixture, homes: u32) -> (Measurement, RecoveryStats) {
         restarts: got.recovery.restarts.len() as u64,
         deterministic,
     };
+    let kind = if online { "recovery-online" } else { "recovery" };
     let m = Measurement {
-        name: format!("runtime/recovery/homes{homes}/shards1/batch64"),
+        name: format!("runtime/{kind}/homes{homes}/shards1/batch64"),
         events_per_sec: events as f64 / secs,
         p50_ns: got.report.latency_percentile(0.50).unwrap_or(0),
         p99_ns: got.report.latency_percentile(0.99).unwrap_or(0),
@@ -493,12 +529,14 @@ fn p99_ratio(results: &[Measurement]) -> Option<f64> {
     Some(num.p99_ns as f64 / den.p99_ns as f64)
 }
 
+#[allow(clippy::too_many_arguments)]
 fn to_json(
     results: &[Measurement],
     speedup: f64,
     ratio: Option<f64>,
     degraded_ratio: f64,
     stats: &RecoveryStats,
+    online: &RecoveryStats,
     swap: &SwapStats,
     drift: &DriftStats,
 ) -> String {
@@ -518,7 +556,7 @@ fn to_json(
     let recovery_max = stats.recovery_ns.last().copied().unwrap_or(0);
     let fp_curve = |fp: &[u64]| Json::Arr(fp.iter().map(|&v| Json::Float(v as f64)).collect());
     Json::Obj(vec![
-        ("schema".into(), Json::Str("jarvis-runtime-bench-v4".into())),
+        ("schema".into(), Json::Str("jarvis-runtime-bench-v5".into())),
         ("parallelism".into(), Json::Float(parallelism as f64)),
         ("batched_speedup_64_homes".into(), Json::Float(speedup)),
         (
@@ -536,6 +574,10 @@ fn to_json(
         ("recovery_p50_ns".into(), Json::Float(recovery_p50 as f64)),
         ("recovery_max_ns".into(), Json::Float(recovery_max as f64)),
         ("recovery_deterministic".into(), Json::Bool(stats.deterministic)),
+        // The same chaos plan with online learning on and two policy swaps,
+        // checked bitwise against the serve_online oracle.
+        ("recovery_online_restarts".into(), Json::Float(online.restarts as f64)),
+        ("recovery_online_deterministic".into(), Json::Bool(online.deterministic)),
         // Degraded-mode serving (neural path offline, safe-table fallback)
         // must stay within this fraction of healthy throughput.
         ("degraded_throughput_ratio_64_homes".into(), Json::Float(degraded_ratio)),
@@ -571,6 +613,7 @@ fn regressions(
     baseline: &Json,
     degraded_ratio: f64,
     stats: &RecoveryStats,
+    online: &RecoveryStats,
     swap: &SwapStats,
     drift: &DriftStats,
 ) -> Vec<String> {
@@ -615,6 +658,13 @@ fn regressions(
         failed.push(
             "recovery determinism: the chaos run's outcomes/snapshot diverged from the \
              uninterrupted oracle"
+                .to_string(),
+        );
+    }
+    if !online.deterministic {
+        failed.push(
+            "online recovery determinism: the online chaos run's outcomes/snapshot diverged \
+             from the serve_online oracle"
                 .to_string(),
         );
     }
@@ -731,18 +781,23 @@ fn main() {
         .iter()
         .find(|m| m.name == "runtime/det/homes64/shards1/batch64")
         .map_or(1.0, |m| m.events_per_sec);
-    let (recovery_row, stats) = run_recovery(&f, 64);
-    print_row(&recovery_row);
-    let recovery_p50 = stats.recovery_ns.get(stats.recovery_ns.len() / 2).copied().unwrap_or(0);
-    println!(
-        "{:<46} {:>9} restarts   p50 {:>9.1} µs   max {:>9.1} µs   bitwise {}",
-        "runtime/recovery/crash_to_decision",
-        stats.restarts,
-        recovery_p50 as f64 / 1e3,
-        stats.recovery_ns.last().copied().unwrap_or(0) as f64 / 1e3,
-        if stats.deterministic { "ok" } else { "DIVERGED" },
-    );
-    results.push(recovery_row);
+    let mut recover = |online: bool| {
+        let (row, stats) = run_recovery(&f, 64, online);
+        print_row(&row);
+        let p50 = stats.recovery_ns.get(stats.recovery_ns.len() / 2).copied().unwrap_or(0);
+        println!(
+            "{:<46} {:>9} restarts   p50 {:>9.1} µs   max {:>9.1} µs   bitwise {}",
+            row.name.replace("/homes64/shards1/batch64", "/crash_to_decision"),
+            stats.restarts,
+            p50 as f64 / 1e3,
+            stats.recovery_ns.last().copied().unwrap_or(0) as f64 / 1e3,
+            if stats.deterministic { "ok" } else { "DIVERGED" },
+        );
+        results.push(row);
+        stats
+    };
+    let stats = recover(false);
+    let online_stats = recover(true);
     let degraded = run_degraded(&f, 64);
     print_row(&degraded);
     let degraded_ratio = degraded.events_per_sec / healthy_rate;
@@ -778,8 +833,16 @@ fn main() {
     if let Some(path) = json_out {
         std::fs::write(
             &path,
-            to_json(&results, speedup, p99_ratio(&results), degraded_ratio, &stats, &swap, &drift)
-                + "\n",
+            to_json(
+                &results,
+                speedup,
+                p99_ratio(&results),
+                degraded_ratio,
+                &stats,
+                &online_stats,
+                &swap,
+                &drift,
+            ) + "\n",
         )
         .expect("write baseline");
         println!("wrote baseline to {path}");
@@ -788,7 +851,15 @@ fn main() {
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
         let baseline = Json::parse(&text).expect("baseline parses");
-        let failed = regressions(&results, &baseline, degraded_ratio, &stats, &swap, &drift);
+        let failed = regressions(
+            &results,
+            &baseline,
+            degraded_ratio,
+            &stats,
+            &online_stats,
+            &swap,
+            &drift,
+        );
         if !failed.is_empty() {
             eprintln!("serving runtime regressed vs {path}:");
             for f in &failed {

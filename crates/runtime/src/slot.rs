@@ -21,8 +21,13 @@ use std::sync::Arc;
 pub struct HomeSnapshot {
     /// The home's runtime id.
     pub id: u64,
-    /// The home's learned safe-transition table.
-    pub table: SafeTransitionTable,
+    /// The home's learned safe-transition table, shared copy-on-write with
+    /// the slot it was taken from: taking or restoring a snapshot bumps a
+    /// reference count instead of cloning the table, and the slot's only
+    /// table writer (the SPL fold) copies before it mutates a shared one,
+    /// so a held snapshot never changes. Serializes exactly like the bare
+    /// table.
+    pub table: Arc<SafeTransitionTable>,
     /// The home's current device state.
     pub state: EnvState,
     /// Minute-of-day of the last processed event.
@@ -47,7 +52,9 @@ json_struct!(HomeSnapshot { id, table, state, minute, alarms, processed, checkpo
 pub struct HomeSlot {
     id: u64,
     home: SmartHome,
-    table: SafeTransitionTable,
+    /// Copy-on-write: shared with every [`HomeSnapshot`] taken since the
+    /// slot's last SPL fold.
+    table: Arc<SafeTransitionTable>,
     mode: MatchMode,
     state: EnvState,
     minute: u32,
@@ -78,7 +85,7 @@ impl HomeSlot {
         HomeSlot {
             id,
             home,
-            table,
+            table: Arc::new(table),
             mode,
             state,
             minute: 0,
@@ -211,9 +218,10 @@ impl HomeSlot {
             return;
         }
         online.since_fold = 0;
+        // The table's only writer: copy it first if a snapshot shares it.
         let outcome = online.delta.fold(
             self.home.fsm(),
-            &mut self.table,
+            Arc::make_mut(&mut self.table),
             online.config.support_threshold,
             online.config.hysteresis_folds,
         );
@@ -353,12 +361,13 @@ impl HomeSlot {
         out
     }
 
-    /// Snapshot the slot's dynamic state.
+    /// Snapshot the slot's dynamic state. The safe table is shared with the
+    /// snapshot, not cloned.
     #[must_use]
     pub fn snapshot(&self) -> HomeSnapshot {
         HomeSnapshot {
             id: self.id,
-            table: self.table.clone(),
+            table: Arc::clone(&self.table),
             state: self.state.clone(),
             minute: self.minute,
             alarms: self.alarms,
@@ -383,7 +392,7 @@ impl HomeSlot {
             )));
         }
         self.home.fsm().validate_state(&snap.state)?;
-        self.table = snap.table.clone();
+        self.table = Arc::clone(&snap.table);
         self.state = snap.state.clone();
         self.minute = snap.minute;
         self.alarms = snap.alarms;

@@ -91,7 +91,10 @@ pub struct SupervisorConfig {
     /// poison pill and answered by the safe-table fallback.
     pub quarantine_after: u32,
     /// Envelopes between WAL checkpoints (per shard). Smaller = shorter
-    /// replays, more snapshot work.
+    /// replays, more snapshot work. A checkpoint re-snapshots only the
+    /// homes its envelopes touched, sharing their safe tables
+    /// copy-on-write, so its cost scales with homes touched per window,
+    /// not homes owned by the shard.
     pub checkpoint_every: u64,
     /// Serve degraded from the start: the neural path is treated as offline
     /// everywhere and every query gets the safe-table fallback. For
@@ -362,7 +365,8 @@ impl<'a> ShardSupervisor<'a> {
         Ok(())
     }
 
-    /// Restore the WAL checkpoint and replay the logged suffix, truncating
+    /// Restore the WAL checkpoint (the dirty homes only — see
+    /// [`ShardWal::restore`]) and replay the logged suffix, truncating
     /// the output back to the checkpoint marks first. Replayed envelopes are
     /// re-served under the exact policy epoch that first served them
     /// ([`Roster::epoch_of`]). Returns the number of envelopes replayed.
@@ -384,12 +388,7 @@ impl<'a> ShardSupervisor<'a> {
         out.shadow.truncate(marks.2);
         pending.clear();
         *pending_epoch = None;
-        for snap in &wal.snapshot {
-            let slot = slots.get_mut(&snap.id).ok_or_else(|| {
-                JarvisError::Config(format!("WAL names unregistered home {}", snap.id))
-            })?;
-            slot.restore(snap)?;
-        }
+        wal.restore(slots)?;
         let suffix = wal.replay_suffix();
         for env in suffix {
             if self.quarantined.contains(&env.seq) {
@@ -516,10 +515,8 @@ impl<'a> ShardSupervisor<'a> {
         let mut out = ShardOutput::default();
         let mut pending: Vec<Pending> = Vec::new();
         let mut pending_epoch: Option<usize> = None;
-        let snapshot = |slots: &BTreeMap<u64, HomeSlot>| {
-            slots.values().map(HomeSlot::snapshot).collect::<Vec<_>>()
-        };
-        let mut wal = ShardWal::new(self.shard, snapshot(slots));
+        let mut wal =
+            ShardWal::new(self.shard, slots.values().map(HomeSlot::snapshot).collect());
         let mut marks = (0usize, 0usize, 0usize);
         let mut since_checkpoint = 0u64;
         // Folds that predate this serve call (resumed snapshots) are not
@@ -703,7 +700,7 @@ impl<'a> ShardSupervisor<'a> {
                         &mut out,
                     )?;
                 }
-                wal.checkpoint(snapshot(slots));
+                wal.checkpoint(slots);
                 marks = (out.outcomes.len(), out.latencies_ns.len(), out.shadow.len());
                 self.recovery.checkpoints += 1;
                 since_checkpoint = 0;

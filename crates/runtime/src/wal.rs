@@ -10,6 +10,17 @@
 //! (regenerating bitwise-identical outcomes, because serving draws no
 //! randomness), and retry the last one.
 //!
+//! Checkpoints and recovery cost what changed, not what the shard owns.
+//! Serving an envelope touches only its own home's slot (decision batches
+//! touch none), and every envelope is logged before it is applied, so the
+//! homes the suffix names — the *dirty* homes — are the only slots that
+//! can differ from the checkpoint. [`ShardWal::checkpoint`] re-snapshots
+//! just those and [`ShardWal::restore`] restores just those; every other
+//! home's snapshot is left as it was, and still equals its slot. Snapshots
+//! share each home's `P_safe` table with its slot copy-on-write
+//! ([`HomeSnapshot::table`]), so a dirty home costs its small mutable
+//! state, not a table clone.
+//!
 //! The log is an in-memory structure serialized through stdkit's strict
 //! JSON codec ([`jarvis_stdkit::json`]), so a WAL — checkpoint, suffix and
 //! all — round-trips byte-for-byte. Checkpoints are only taken at batch
@@ -20,8 +31,10 @@
 //! pure per-row forwards (DESIGN.md §13).
 
 use crate::event::Envelope;
-use crate::slot::HomeSnapshot;
+use crate::slot::{HomeSlot, HomeSnapshot};
+use jarvis::JarvisError;
 use jarvis_stdkit::{json_enum, json_struct};
+use std::collections::BTreeMap;
 
 /// A durable continual-learning record (DESIGN.md §16). Unlike envelope
 /// entries, records are *not* cleared at checkpoints: they are the audit
@@ -59,7 +72,10 @@ json_enum!(WalRecord {
 pub struct ShardWal {
     /// The shard this log belongs to.
     pub shard: usize,
-    /// The shard's slots at the last checkpoint, ordered by home id.
+    /// Every slot the shard owns as of the last checkpoint, ordered by
+    /// home id. Always the full set: a checkpoint refreshes only the homes
+    /// its suffix named, and the rest are unchanged since their own last
+    /// refresh, so the set equals a full snapshot taken at the checkpoint.
     pub snapshot: Vec<HomeSnapshot>,
     /// Envelopes logged since the checkpoint, in processing (seq) order.
     /// The last entry is the envelope currently being processed.
@@ -72,7 +88,8 @@ pub struct ShardWal {
 json_struct!(ShardWal { shard, snapshot, entries, records });
 
 impl ShardWal {
-    /// Open a log for `shard` at an initial checkpoint.
+    /// Open a log for `shard` at an initial checkpoint: a snapshot of every
+    /// slot the shard owns, ordered by home id.
     #[must_use]
     pub fn new(shard: usize, snapshot: Vec<HomeSnapshot>) -> Self {
         ShardWal { shard, snapshot, entries: Vec::new(), records: Vec::new() }
@@ -90,12 +107,48 @@ impl ShardWal {
         self.records.push(record);
     }
 
-    /// Replace the checkpoint with a fresh snapshot and clear the suffix —
-    /// everything before `snapshot` is now durable state. Learning records
-    /// survive: they describe the whole run, not the suffix.
-    pub fn checkpoint(&mut self, snapshot: Vec<HomeSnapshot>) {
-        self.snapshot = snapshot;
+    /// The homes the envelope suffix names, ascending and deduplicated —
+    /// the only slots that can have moved since the checkpoint.
+    #[must_use]
+    pub fn dirty_homes(&self) -> Vec<u64> {
+        let mut homes: Vec<u64> = self.entries.iter().map(|env| env.home).collect();
+        homes.sort_unstable();
+        homes.dedup();
+        homes
+    }
+
+    /// Checkpoint the slots' current state and clear the suffix —
+    /// everything before now is durable state. Only the dirty homes are
+    /// re-snapshotted. Learning records survive: they describe the whole
+    /// run, not the suffix.
+    pub(crate) fn checkpoint(&mut self, slots: &BTreeMap<u64, HomeSlot>) {
+        let dirty = self.dirty_homes();
+        for snap in &mut self.snapshot {
+            if dirty.binary_search(&snap.id).is_ok() {
+                if let Some(slot) = slots.get(&snap.id) {
+                    *snap = slot.snapshot();
+                }
+            }
+        }
         self.entries.clear();
+    }
+
+    /// Roll the dirty homes' slots back to the checkpoint; the other
+    /// slots already hold it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`JarvisError::Config`] when the checkpoint names a home
+    /// `slots` lacks, and whatever [`HomeSlot::restore`] rejects.
+    pub(crate) fn restore(&self, slots: &mut BTreeMap<u64, HomeSlot>) -> Result<(), JarvisError> {
+        let dirty = self.dirty_homes();
+        for snap in self.snapshot.iter().filter(|snap| dirty.binary_search(&snap.id).is_ok()) {
+            let slot = slots.get_mut(&snap.id).ok_or_else(|| {
+                JarvisError::Config(format!("WAL names unregistered home {}", snap.id))
+            })?;
+            slot.restore(snap)?;
+        }
+        Ok(())
     }
 
     /// The envelopes to re-apply during recovery: every logged entry except
@@ -126,21 +179,31 @@ impl ShardWal {
 mod tests {
     use super::*;
     use crate::event::EventKind;
-    use crate::slot::HomeSlot;
     use jarvis_policy::{MatchMode, SafeTransitionTable};
     use jarvis_smart_home::SmartHome;
     use jarvis_stdkit::json::{FromJson, ToJson};
 
+    fn slots(ids: &[u64]) -> BTreeMap<u64, HomeSlot> {
+        ids.iter()
+            .map(|&id| {
+                let home = SmartHome::evaluation_home();
+                (id, HomeSlot::new(id, home, SafeTransitionTable::new(), MatchMode::Exact))
+            })
+            .collect()
+    }
+
     fn snapshot() -> Vec<HomeSnapshot> {
-        let home = SmartHome::evaluation_home();
-        let slot = HomeSlot::new(3, home, SafeTransitionTable::new(), MatchMode::Exact);
-        vec![slot.snapshot()]
+        slots(&[3]).values().map(HomeSlot::snapshot).collect()
     }
 
     fn env(seq: u64) -> Envelope {
+        env_for(3, seq)
+    }
+
+    fn env_for(home: u64, seq: u64) -> Envelope {
         Envelope {
             seq,
-            home: 3,
+            home,
             minute: 10 + seq as u32,
             kind: EventKind::Query { indoor_c: 21.0, outdoor_c: 5.0, price_per_kwh: 0.12 },
         }
@@ -156,9 +219,39 @@ mod tests {
         assert_eq!(wal.len(), 5);
         assert_eq!(wal.replay_suffix().len(), 4);
         assert_eq!(wal.entries.last().unwrap().seq, 4);
-        wal.checkpoint(snapshot());
+        wal.checkpoint(&slots(&[3]));
         assert!(wal.is_empty());
         assert_eq!(wal.replay_suffix(), &[]);
+    }
+
+    #[test]
+    fn checkpoint_and_restore_touch_only_dirty_homes() {
+        let mut live = slots(&[3, 5, 9]);
+        let mut wal = ShardWal::new(0, live.values().map(HomeSlot::snapshot).collect());
+        let processed = |wal: &ShardWal| -> Vec<u64> {
+            wal.snapshot.iter().map(|snap| snap.processed).collect()
+        };
+        wal.append(env_for(9, 0));
+        wal.append(env_for(3, 1));
+        wal.append(env_for(9, 2));
+        assert_eq!(wal.dirty_homes(), vec![3, 9]);
+        // Move every slot, home 5 included, to expose what gets re-read.
+        for slot in live.values_mut() {
+            slot.note_event(1, false);
+        }
+        wal.checkpoint(&live);
+        assert!(wal.dirty_homes().is_empty());
+        assert_eq!(processed(&wal), vec![1, 0, 1], "home 5 was not named, so not re-read");
+        let ids: Vec<u64> = wal.snapshot.iter().map(|snap| snap.id).collect();
+        assert_eq!(ids, vec![3, 5, 9], "the checkpoint stays the full set, by home id");
+
+        wal.append(env_for(5, 3));
+        for slot in live.values_mut() {
+            slot.note_event(2, false);
+        }
+        wal.restore(&mut live).unwrap();
+        let now: Vec<u64> = live.values().map(HomeSlot::processed).collect();
+        assert_eq!(now, vec![2, 0, 2], "only the dirty home 5 rolls back");
     }
 
     #[test]
@@ -187,7 +280,7 @@ mod tests {
         let mut wal = ShardWal::new(0, snapshot());
         wal.append(env(0));
         wal.append_record(WalRecord::Fold { home: 3, fold: 1, admitted: 0 });
-        wal.checkpoint(snapshot());
+        wal.checkpoint(&slots(&[3]));
         assert!(wal.is_empty(), "checkpoint clears the envelope suffix");
         assert_eq!(
             wal.records,
@@ -195,7 +288,7 @@ mod tests {
             "checkpoint must not clear the learning audit trail"
         );
         wal.append_record(WalRecord::Swap { at_seq: 5, version: 2 });
-        wal.checkpoint(snapshot());
+        wal.checkpoint(&slots(&[3]));
         assert_eq!(wal.records.len(), 2);
     }
 

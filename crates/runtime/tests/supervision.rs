@@ -390,11 +390,20 @@ use std::collections::BTreeMap;
 /// A supervised runtime with online learning on (short fold cadence) and a
 /// second policy version registered as a swap target.
 fn online_runtime(f: &Fixture, shards: usize, homes: u32) -> (ServingRuntime, u64) {
-    let mut rt = build_runtime(f, det_config(shards), homes);
     let online = OnlineConfig {
         fold_every: if cfg!(miri) { 16 } else { 24 },
         ..OnlineConfig::default()
     };
+    online_runtime_on(f, det_config(shards), online, homes)
+}
+
+fn online_runtime_on(
+    f: &Fixture,
+    config: RuntimeConfig,
+    online: OnlineConfig,
+    homes: u32,
+) -> (ServingRuntime, u64) {
+    let mut rt = build_runtime(f, config, homes);
     rt.enable_online(online, ShadowGates::default()).expect("enable online");
     let cfg = f.policy.config();
     let mut alt = DqnConfig::new(cfg.state_dim, cfg.num_actions);
@@ -525,4 +534,181 @@ fn recovery_through_a_swap_is_bitwise_and_lands_on_the_active_version() {
             "active weights must be the stored bytes, exactly"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Dirty-home checkpoints and copy-on-write safe tables.
+// ---------------------------------------------------------------------------
+
+use jarvis_runtime::{Envelope, Placement};
+use std::collections::BTreeSet;
+
+/// An online runtime that admits any pair blocked once in a fold window,
+/// so even the Miri-sized streams move the safe tables between checkpoints.
+fn eager_online_runtime(f: &Fixture, config: RuntimeConfig, homes: u32) -> ServingRuntime {
+    let online = OnlineConfig {
+        fold_every: 16,
+        support_threshold: 1,
+        hysteresis_folds: 1,
+        ..OnlineConfig::default()
+    };
+    online_runtime_on(f, config, online, homes).0
+}
+
+/// Keep each shard's first whole number of `every`-envelope windows, so
+/// every shard's supervised run ends exactly on a checkpoint.
+fn whole_checkpoint_windows(
+    rt: &ServingRuntime,
+    stream: Vec<Envelope>,
+    every: u64,
+) -> Vec<Envelope> {
+    let mut per_shard = BTreeMap::<usize, u64>::new();
+    for env in &stream {
+        *per_shard.entry(rt.shard_of(env.home)).or_insert(0) += 1;
+    }
+    let mut keep: BTreeMap<usize, u64> =
+        per_shard.into_iter().map(|(shard, n)| (shard, n - n % every)).collect();
+    stream
+        .into_iter()
+        .filter(|env| match keep.get_mut(&rt.shard_of(env.home)) {
+            Some(left) if *left > 0 => {
+                *left -= 1;
+                true
+            }
+            _ => false,
+        })
+        .collect()
+}
+
+#[test]
+fn incremental_checkpoints_equal_full_shard_snapshots() {
+    let f = fixture();
+    let fleet = FleetGenerator::new(43, fleet_size());
+    let sup = SupervisorConfig {
+        restart_budget: u32::MAX,
+        checkpoint_every: 16,
+        ..SupervisorConfig::default()
+    };
+    for shards in [1usize, 2, 3] {
+        for chaotic in [false, true] {
+            // Modulo placement: trimming the stream must not move homes.
+            let mut config = det_config(shards);
+            config.placement = Placement::Modulo;
+            let mut rt = eager_online_runtime(&f, config, fleet.num_homes());
+            let ingest = rt.ingest_fleet_day(&fleet, 1, None, Some(query_every())).expect("ingest");
+            let stream = whole_checkpoint_windows(&rt, ingest.envelopes, sup.checkpoint_every);
+            let plan = ChaosPlan::periodic_panic(19, if cfg!(miri) { 5 } else { 11 }, 1);
+            let chaos = ChaosInjector::new(plan)
+                .expect("plan")
+                .schedule(stream.iter().map(|e| e.seq).collect::<Vec<_>>());
+            let report = rt
+                .serve_online_supervised(stream, &sup, chaotic.then_some(&chaos), &[])
+                .expect("serve");
+            assert!(report.recovery.checkpoints > 0, "checkpoints must be taken");
+            assert_eq!(chaotic, !report.recovery.restarts.is_empty());
+            let admitted: u64 = (0..u64::from(fleet.num_homes()))
+                .map(|id| rt.slot(id).and_then(|s| s.online()).map_or(0, |o| o.admitted))
+                .sum();
+            assert!(admitted > 0, "folds must admit pairs, so tables actually move");
+            for (k, wal) in report.wals.iter().enumerate() {
+                assert!(wal.is_empty(), "{shards} shards: shard {k} must end on a checkpoint");
+                let full = rt.shard_snapshot(k).expect("shard snapshot");
+                assert_eq!(
+                    wal.snapshot.to_json(),
+                    full.homes.to_json(),
+                    "{shards} shards, chaos {chaotic}: shard {k}'s incremental checkpoint \
+                     differs from a full snapshot"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn checkpointed_tables_are_isolated_from_later_folds() {
+    let f = fixture();
+    let fleet = FleetGenerator::new(37, fleet_size());
+    let mut sup = SupervisorConfig {
+        restart_budget: u32::MAX,
+        checkpoint_every: 16,
+        ..SupervisorConfig::default()
+    };
+
+    // Find the first fold that admits pairs, and the envelope that lands it.
+    let mut probe = eager_online_runtime(&f, det_config(1), fleet.num_homes());
+    let envelopes =
+        probe.ingest_fleet_day(&fleet, 1, None, Some(query_every())).expect("ingest").envelopes;
+    let run = probe.serve_online_supervised(envelopes.clone(), &sup, None, &[]).expect("probe");
+    let (home, fold, admitted) = run.wals[0]
+        .records
+        .iter()
+        .find_map(|record| match *record {
+            WalRecord::Fold { home, fold, admitted } if admitted > 0 => {
+                Some((home, fold, admitted))
+            }
+            _ => None,
+        })
+        .expect("the stream must admit a pair");
+    let fold_every = probe.slot(home).and_then(|s| s.online()).expect("learner").config.fold_every;
+    // Without chaos every envelope advances its home's fold cadence, so the
+    // fold lands on the home's (fold · fold_every)-th envelope.
+    let at = envelopes
+        .iter()
+        .enumerate()
+        .filter(|(_, env)| env.home == home)
+        .nth((fold * fold_every - 1) as usize)
+        .map(|(i, _)| i)
+        .expect("fold envelope");
+
+    // Panic on the next envelope, and end the stream right after it, with
+    // no checkpoint between the fold and the end: the WAL's checkpoint of
+    // `home` is then the one taken before the fold, sharing the table the
+    // fold wrote to.
+    let (fold_pos, end) = (at as u64 + 1, at as u64 + 2);
+    let every = (8..fold_pos)
+        .find(|&c| !fold_pos.is_multiple_of(c) && !end.is_multiple_of(c))
+        .expect("a checkpoint cadence that keeps the fold in the last window");
+    sup.checkpoint_every = every;
+    let stream = envelopes[..at + 2].to_vec();
+    let panic_seq = stream[at + 1].seq;
+    let plan = ChaosPlan {
+        seed: 29,
+        rules: vec![ChaosRule::at_seq(ChaosKind::Panic { attempts: 1 }, panic_seq)],
+    };
+    let chaos = ChaosInjector::new(plan)
+        .expect("plan")
+        .schedule(stream.iter().map(|e| e.seq).collect::<Vec<_>>());
+
+    let mut oracle_rt = eager_online_runtime(&f, det_config(1), fleet.num_homes());
+    oracle_rt.ingest_fleet_day(&fleet, 1, None, Some(query_every())).expect("ingest");
+    let want = oracle_rt.serve_online(stream.clone(), &[]).expect("serve_online");
+
+    let mut rt = eager_online_runtime(&f, det_config(1), fleet.num_homes());
+    rt.ingest_fleet_day(&fleet, 1, None, Some(query_every())).expect("ingest");
+    let got = rt.serve_online_supervised(stream, &sup, Some(&chaos), &[]).expect("chaos serve");
+    assert_outcomes_bit_identical(&want.outcomes, &got.report.outcomes, "panic after a fold");
+    assert_eq!(oracle_rt.snapshot().to_json(), rt.snapshot().to_json(), "snapshot bytes diverged");
+    assert!(got.recovery.checkpoints > 0, "a checkpoint must precede the fold");
+    assert_eq!(got.recovery.restarts.len(), 1);
+    assert_eq!(got.recovery.restarts[0].seq, panic_seq);
+
+    let checkpointed = &got.wals[0]
+        .snapshot
+        .iter()
+        .find(|snap| snap.id == home)
+        .expect("home in checkpoint")
+        .table;
+    let live = rt.slot(home).expect("slot").snapshot().table;
+    let before: BTreeSet<_> = checkpointed.iter().collect();
+    let new_pairs: Vec<_> = live.iter().filter(|pair| !before.contains(pair)).collect();
+    assert_eq!(
+        new_pairs.len() as u64,
+        admitted,
+        "the checkpointed table must lack exactly the pairs the fold admitted after it"
+    );
+    assert!(
+        new_pairs.iter().all(|(state, action)| !checkpointed
+            .is_safe_action(state, action, jarvis_policy::MatchMode::Exact)),
+        "the checkpoint must not see pairs admitted after it"
+    );
 }

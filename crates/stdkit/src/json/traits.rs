@@ -2,6 +2,7 @@
 //! primitives and containers the workspace serializes.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 use super::error::JsonError;
 use super::value::Json;
@@ -187,6 +188,20 @@ impl<T: ToJson> ToJson for Box<T> {
 impl<T: FromJson> FromJson for Box<T> {
     fn from_json_value(v: &Json) -> Result<Self, JsonError> {
         T::from_json_value(v).map(Box::new)
+    }
+}
+
+/// Shared values serialize as their pointee, so sharing one copy-on-write
+/// is invisible in the bytes.
+impl<T: ToJson> ToJson for Arc<T> {
+    fn to_json_value(&self) -> Json {
+        (**self).to_json_value()
+    }
+}
+
+impl<T: FromJson> FromJson for Arc<T> {
+    fn from_json_value(v: &Json) -> Result<Self, JsonError> {
+        T::from_json_value(v).map(Arc::new)
     }
 }
 
@@ -430,6 +445,20 @@ mod tests {
         let mut bt = BTreeMap::new();
         bt.insert("k".to_string(), vec![1u8, 2]);
         assert_eq!(BTreeMap::<String, Vec<u8>>::from_json(&bt.to_json()).unwrap(), bt);
+    }
+
+    #[test]
+    fn arc_round_trips_byte_stable_as_its_pointee() {
+        let mut bt = BTreeMap::new();
+        bt.insert("k".to_string(), vec![Some(1u32), None]);
+        let shared = Arc::new(bt.clone());
+        let json = shared.to_json();
+        assert_eq!(json, bt.to_json(), "an Arc serializes exactly like its pointee");
+        let back = Arc::<BTreeMap<String, Vec<Option<u32>>>>::from_json(&json).unwrap();
+        assert_eq!(back, shared);
+        assert_eq!(back.to_json(), json, "serialization must be byte-stable");
+        assert_eq!(Box::new(bt).to_json(), json, "Arc and Box agree");
+        assert!(Arc::<u8>::from_json("256").is_err(), "pointee errors propagate");
     }
 
     #[test]

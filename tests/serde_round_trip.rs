@@ -103,6 +103,54 @@ fn episodes_round_trip() {
     assert_eq!(ep, back);
 }
 
+#[test]
+fn runtime_snapshot_with_online_learners_round_trips() {
+    use jarvis_repro::rl::{DqnAgent, DqnConfig};
+    use jarvis_repro::runtime::{
+        OnlineConfig, RuntimeConfig, RuntimeSnapshot, ServingRuntime, ShadowGates,
+    };
+    use jarvis_repro::sim::FleetGenerator;
+
+    let home = SmartHome::evaluation_home();
+    let state_dim = home.fsm().state_sizes().iter().sum::<usize>() + 5;
+    let mut cfg = DqnConfig::new(state_dim, home.agent_mini_actions().len() + 1);
+    cfg.hidden = vec![8];
+    let policy = DqnAgent::new(cfg).unwrap();
+    let fresh = || {
+        let mut config = RuntimeConfig::new(2);
+        config.deterministic = true;
+        let mut rt = ServingRuntime::new(config, policy.clone()).unwrap();
+        for id in 0..3 {
+            let table = jarvis_repro::policy::SafeTransitionTable::new();
+            rt.register_home(id, home.clone(), table).unwrap();
+        }
+        let online = OnlineConfig { fold_every: 24, ..OnlineConfig::default() };
+        rt.enable_online(online, ShadowGates::default()).unwrap();
+        rt
+    };
+
+    // Serve a day so every learner carries state: folds, admitted pairs in
+    // the (copy-on-write shared) safe tables, a shadow delta, replay rows.
+    let mut rt = fresh();
+    let fleet = FleetGenerator::new(3, 3);
+    let ingest = rt.ingest_fleet_day(&fleet, 0, None, Some(30)).unwrap();
+    rt.serve_online(ingest.envelopes, &[]).unwrap();
+    let snap = rt.snapshot();
+    let learners: Vec<_> = snap.homes.iter().filter_map(|h| h.online.as_ref()).collect();
+    assert_eq!(learners.len(), 3, "every home carries its learner");
+    assert!(learners.iter().any(|o| o.admitted > 0 && !o.replay.is_empty()));
+
+    let json = snap.to_json();
+    let back = RuntimeSnapshot::from_json(&json).unwrap();
+    assert_eq!(back, snap);
+    assert_eq!(back.to_json(), json, "serialization must be byte-stable");
+
+    // Restoring the decoded snapshot reproduces the runtime byte-for-byte.
+    let mut restored = fresh();
+    restored.restore(&back).unwrap();
+    assert_eq!(restored.snapshot().to_json(), json);
+}
+
 // ---------------------------------------------------------------------------
 // Malformed input: the strict codec must reject — never panic on — documents
 // that are truncated, mistyped, or carry unexpected fields.
