@@ -12,6 +12,9 @@
 //!   forward at both scalar and the detected tier.
 //! * **Worker pool** — `run_scoped` fork/join overhead vs a fresh
 //!   `thread::scope` spawn for the same task set.
+//! * **Training step** — one DQN `Replay(BSize)` (`train/dqn_replay/32`)
+//!   at the paper's default agent shape on the evaluation home: 64×64
+//!   hidden layers, batch 32, a full replay memory of 10 000 transitions.
 //!
 //! Beyond printing a table, this bench is the acceptance gate for the SIMD
 //! + quantization work. `--check` enforces, **fresh from this run's own
@@ -28,8 +31,9 @@
 //! instead of failing (see [`gate_failures`]). The agreement gate and the
 //! baseline regression check are enforced on every tier.
 //!
-//! plus the v1-style ≤2× regression check of every gated kernel against
-//! the recorded minima in `BENCH_neural.json`.
+//! plus the v1-style ≤2× regression check of every gated kernel (GEMM,
+//! forward and training-step rows) against the recorded minima in
+//! `BENCH_neural.json`.
 //!
 //! * `--json <path>`  — write the measurements as a JSON baseline.
 //! * `--check <path>` — enforce the gates above and exit non-zero on fail.
@@ -37,10 +41,15 @@
 
 use std::time::{Duration, Instant};
 
+use jarvis::{DayScenario, HomeRlEnv, RewardWeights, SmartReward};
 use jarvis_neural::{
     gemm, Activation, Loss, Matrix, Network, OptimizerKind, Parallelism, QuantizedNetwork,
     SimdTier,
 };
+use jarvis_policy::TaBehavior;
+use jarvis_rl::{DqnAgent, DqnConfig, Environment, Experience};
+use jarvis_sim::HomeDataset;
+use jarvis_smart_home::SmartHome;
 use jarvis_stdkit::json::Json;
 use jarvis_stdkit::pool::WorkerPool;
 use jarvis_stdkit::rng::{ChaCha8Rng, Rng, SeedableRng};
@@ -69,7 +78,7 @@ const AGREEMENT_GATE: f64 = 0.95;
 
 /// Baselines only gate the kernels we ship; the naive reference is recorded
 /// for the speedup column but never fails the regression check.
-const CHECKED_PREFIXES: [&str; 3] = ["gemm/", "gemm_t/", "forward/"];
+const CHECKED_PREFIXES: [&str; 4] = ["gemm/", "gemm_t/", "forward/", "train/"];
 
 struct Measurement {
     name: String,
@@ -179,6 +188,43 @@ fn forward_f64_tier(net: &Network, rows: &[Vec<f64>], par: Parallelism, tier: Si
         width = units;
     }
     act
+}
+
+/// A paper-default DQN agent (`DqnConfig::new` on the evaluation home's
+/// observation and action sizes: 64×64 hidden, batch 32) whose replay
+/// memory is filled to its 10 000-transition capacity by a seeded
+/// random-action walk through the evaluation home's day.
+fn replay_agent() -> DqnAgent {
+    let home = SmartHome::evaluation_home();
+    let data = HomeDataset::home_a(42);
+    let scenario = DayScenario::from_dataset(&home, &data, 2);
+    let reward = SmartReward::evaluation(
+        RewardWeights::balanced(),
+        scenario.peak_price(),
+        TaBehavior::new(),
+        scenario.config(),
+        home.fsm().num_devices(),
+    );
+    let mut env = HomeRlEnv::new(&home, &scenario, &reward);
+    let mut agent = DqnAgent::new(DqnConfig::new(env.state_dim(), env.num_actions()))
+        .expect("paper-default agent");
+    let mut rng = ChaCha8Rng::seed_from_u64(3);
+    let mut obs = env.reset();
+    for _ in 0..agent.config().replay_capacity {
+        let valid = env.valid_actions();
+        let action = valid[rng.gen_range(0..valid.len())];
+        let step = env.step(action);
+        agent.remember(Experience {
+            state: obs,
+            action,
+            reward: step.reward,
+            next: step.obs.clone(),
+            next_valid: env.valid_actions(),
+            done: step.done,
+        });
+        obs = if step.done { env.reset() } else { step.obs };
+    }
+    agent
 }
 
 fn run_suite(budget: Duration) -> (Vec<Measurement>, Gates) {
@@ -309,6 +355,14 @@ fn run_suite(budget: Duration) -> (Vec<Measurement>, Gates) {
             quant_speedup.push((batch, speedup));
         }
     }
+
+    // --- DQN training step --------------------------------------------
+    let mut agent = replay_agent();
+    record(
+        &mut results,
+        "train/dqn_replay/32".into(),
+        measure(budget, || agent.replay().expect("replay").expect("memory is full")),
+    );
 
     // --- Worker-pool fork/join overhead --------------------------------
     let pool = WorkerPool::with_workers(4);
@@ -452,7 +506,8 @@ fn regressions(results: &[Measurement], baseline: &Json) -> Vec<String> {
         .and_then(Json::as_array)
         .expect("baseline has a results array");
     // Entries measured at the *detected* tier (pool fan-out, the
-    // detected-tier f64 forward, the detected-tier quantized forward) are
+    // detected-tier f64 forward, the detected-tier quantized forward, the
+    // training step) are
     // only comparable when this host detects the same tier the baseline
     // box recorded; on a weaker host they would report a phantom
     // regression of correct code. Tier-pinned entries (gemm/<tier>/,
@@ -471,6 +526,7 @@ fn regressions(results: &[Measurement], baseline: &Json) -> Vec<String> {
         name.contains("/pool4/")
             || name.starts_with("forward/f64/")
             || name.starts_with("forward/quant/")
+            || name.starts_with("train/")
     };
     let mut failed = Vec::new();
     for m in results {

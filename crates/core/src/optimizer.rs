@@ -218,10 +218,12 @@ impl Optimizer {
         let mut stats = TrainingStats::default();
         for _ep in 0..episodes {
             let mut obs = env.reset();
+            // The valid set is a pure function of the state, so the set
+            // probed after a step is the next step's `valid`.
+            let mut valid = env.valid_actions();
             let mut losses = Vec::new();
             let mut step_count = 0usize;
             loop {
-                let valid = env.valid_actions();
                 let action = self.agent.act(&obs, &valid)?;
                 let step = env.step(action);
                 let next_valid = env.valid_actions();
@@ -230,7 +232,7 @@ impl Optimizer {
                     action,
                     reward: step.reward,
                     next: step.obs.clone(),
-                    next_valid,
+                    next_valid: next_valid.clone(),
                     done: step.done,
                 });
                 step_count += 1;
@@ -240,6 +242,7 @@ impl Optimizer {
                     }
                 }
                 obs = step.obs;
+                valid = next_valid;
                 if step.done {
                     break;
                 }

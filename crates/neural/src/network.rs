@@ -4,7 +4,7 @@
 use crate::activation::Activation;
 use crate::error::NeuralError;
 use crate::gemm::Parallelism;
-use crate::layer::Dense;
+use crate::layer::{Dense, ForwardCache};
 use crate::loss::Loss;
 use crate::matrix::Matrix;
 use crate::optimizer::OptimizerKind;
@@ -164,9 +164,10 @@ impl Network {
     /// One gradient step where only masked outputs contribute to the loss.
     ///
     /// `masks`, when present, holds one 0/1 vector per batch item; gradient
-    /// entries where the mask is `0` are zeroed. This is how the DQN trains
-    /// only the Q output of the action actually taken (Section V-A-7's
-    /// mini-action head) without disturbing the other heads.
+    /// entries where the mask is `0` are zeroed. [`Network::train_q_heads`]
+    /// is the DQN's form of this step: it builds the target from the
+    /// training forward's own prediction instead of taking it from the
+    /// caller. Both run the same forward/backward pass.
     ///
     /// # Errors
     ///
@@ -188,14 +189,7 @@ impl Network {
                 return Err(NeuralError::BadBatch { reason: "inputs/masks count mismatch" });
             }
         }
-        let x = Matrix::from_rows(inputs)?;
-        if x.cols() != self.input_size {
-            return Err(NeuralError::BadVectorLength {
-                what: "input",
-                expected: self.input_size,
-                got: x.cols(),
-            });
-        }
+        let x = self.input_matrix(inputs)?;
         let y = Matrix::from_rows(targets)?;
         if y.cols() != self.output_size() {
             return Err(NeuralError::BadVectorLength {
@@ -204,26 +198,99 @@ impl Network {
                 got: y.cols(),
             });
         }
+        let mask = masks.map(Matrix::from_rows).transpose()?;
+        self.train_step(&x, |_| (y, mask))
+    }
 
-        // Forward, caching every layer's input and pre-activation.
-        let mut activations: Vec<Matrix> = vec![x];
-        let mut caches = Vec::with_capacity(self.layers.len());
+    /// One gradient step on one output head per batch item: row `i` trains
+    /// output `heads[i].0` toward `heads[i].1`, and every other output of
+    /// the row gets zero gradient. This is how the DQN trains only the Q
+    /// value of the action actually taken (Section V-A-7's mini-action
+    /// head) without disturbing the other heads.
+    ///
+    /// The target is the training forward's own cached prediction with the
+    /// one head overwritten, masked to that head — bit for bit the step
+    /// [`Network::train_batch_masked`] takes when the caller builds each
+    /// target row from `predict(inputs[i])` and a one-hot mask, without
+    /// running the forward twice. Returns the pre-update batch loss.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NeuralError::BadBatch`] for an empty or ragged batch or
+    /// when `inputs` and `heads` disagree in count,
+    /// [`NeuralError::BadVectorLength`] when the input width is wrong or a
+    /// head index is out of range; the weights are untouched on error.
+    pub fn train_q_heads(
+        &mut self,
+        inputs: &[&[f64]],
+        heads: &[(usize, f64)],
+    ) -> Result<f64, NeuralError> {
+        if inputs.is_empty() {
+            return Err(NeuralError::BadBatch { reason: "empty batch" });
+        }
+        if inputs.len() != heads.len() {
+            return Err(NeuralError::BadBatch { reason: "inputs/heads count mismatch" });
+        }
+        let x = self.input_matrix(inputs)?;
+        let outputs = self.output_size();
+        if let Some(&(head, _)) = heads.iter().find(|&&(head, _)| head >= outputs) {
+            return Err(NeuralError::BadVectorLength {
+                what: "q head index",
+                expected: outputs,
+                got: head,
+            });
+        }
+        self.train_step(&x, |prediction| {
+            let mut y = prediction.clone();
+            let mut mask = Matrix::zeros(prediction.rows(), prediction.cols());
+            for (r, &(head, target)) in heads.iter().enumerate() {
+                y.set(r, head, target);
+                mask.set(r, head, 1.0);
+            }
+            (y, Some(mask))
+        })
+    }
+
+    /// Stack a training batch and check its width against the network.
+    fn input_matrix(&self, inputs: &[&[f64]]) -> Result<Matrix, NeuralError> {
+        let x = Matrix::from_rows(inputs)?;
+        if x.cols() != self.input_size {
+            return Err(NeuralError::BadVectorLength {
+                what: "input",
+                expected: self.input_size,
+                got: x.cols(),
+            });
+        }
+        Ok(x)
+    }
+
+    /// The forward/backward pass behind every training step: forward over
+    /// `x` caching each layer's tensors, let `targets` turn the prediction
+    /// into the `(target, mask)` pair the loss sees, then backpropagate and
+    /// update every layer. Returns the pre-update loss.
+    fn train_step(
+        &mut self,
+        x: &Matrix,
+        targets: impl FnOnce(&Matrix) -> (Matrix, Option<Matrix>),
+    ) -> Result<f64, NeuralError> {
+        // Layer `i` reads `x` (i = 0) or layer `i - 1`'s cached activations.
+        let mut caches: Vec<ForwardCache> = Vec::with_capacity(self.layers.len());
         for layer in &self.layers {
-            let cache = layer.forward(activations.last().expect("non-empty"), self.parallelism)?;
-            activations.push(cache.a.clone());
+            let input = caches.last().map_or(x, |c| &c.a);
+            let cache = layer.forward(input, self.parallelism)?;
             caches.push(cache);
         }
-        let prediction = activations.last().expect("non-empty").clone();
-        let loss_value = self.loss.value(&prediction, &y)?;
+        let prediction = &caches.last().expect("non-empty").a;
+        let (y, mask) = targets(prediction);
+        let loss_value = self.loss.value(prediction, &y)?;
 
-        // Backward.
-        let mut grad = self.loss.gradient(&prediction, &y)?;
-        if let Some(masks) = masks {
-            let m = Matrix::from_rows(masks)?;
+        let mut grad = self.loss.gradient(prediction, &y)?;
+        if let Some(m) = mask {
             grad = grad.hadamard(&m)?;
         }
         for (i, layer) in self.layers.iter_mut().enumerate().rev() {
-            grad = layer.backward(&activations[i], &caches[i], &grad, &self.optimizer, self.parallelism)?;
+            let input = if i == 0 { x } else { &caches[i - 1].a };
+            grad = layer.backward(input, &caches[i], &grad, &self.optimizer, self.parallelism)?;
         }
         Ok(loss_value)
     }
@@ -495,6 +562,56 @@ mod tests {
             before[1],
             after[1]
         );
+    }
+
+    #[test]
+    fn q_head_step_equals_masked_step_on_predicted_targets() {
+        let mk = || {
+            Network::builder(2)
+                .layer(6, Activation::Relu)
+                .layer(3, Activation::Linear)
+                .loss(Loss::Mse)
+                .optimizer(OptimizerKind::adam(0.01))
+                .seed(5)
+                .build()
+                .unwrap()
+        };
+        let xs: [&[f64]; 3] = [&[0.2, -0.4], &[1.0, 0.5], &[-0.3, 0.9]];
+        let heads = [(2, 1.5), (0, -0.25), (2, 0.0)];
+        let (mut masked, mut q_heads) = (mk(), mk());
+        for _ in 0..3 {
+            let mut targets = Vec::new();
+            let mut masks = Vec::new();
+            for (x, &(head, target)) in xs.iter().zip(&heads) {
+                let mut row = masked.predict(x).unwrap();
+                row[head] = target;
+                let mut mask = vec![0.0; 3];
+                mask[head] = 1.0;
+                targets.push(row);
+                masks.push(mask);
+            }
+            let t: Vec<&[f64]> = targets.iter().map(Vec::as_slice).collect();
+            let m: Vec<&[f64]> = masks.iter().map(Vec::as_slice).collect();
+            let expected = masked.train_batch_masked(&xs, &t, Some(&m)).unwrap();
+            let got = q_heads.train_q_heads(&xs, &heads).unwrap();
+            assert_eq!(got.to_bits(), expected.to_bits());
+        }
+        assert_eq!(q_heads.to_json().unwrap(), masked.to_json().unwrap());
+    }
+
+    #[test]
+    fn q_head_step_validates_before_updating() {
+        let mut n = tiny_net(3);
+        let before = n.to_json().unwrap();
+        let x = [0.1, 0.2];
+        assert!(matches!(
+            n.train_q_heads(&[&x], &[(1, 0.0)]),
+            Err(NeuralError::BadVectorLength { what: "q head index", expected: 1, got: 1 })
+        ));
+        assert!(n.train_q_heads(&[&x], &[]).is_err());
+        assert!(n.train_q_heads(&[], &[]).is_err());
+        assert!(n.train_q_heads(&[&x[..1]], &[(0, 0.0)]).is_err());
+        assert_eq!(n.to_json().unwrap(), before, "a rejected step must not train");
     }
 
     #[test]

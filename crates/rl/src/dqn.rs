@@ -4,8 +4,14 @@
 //! with two hidden layers and learning rate 0.001 (Section V-A-6), whose
 //! output is "an array of rewards for each mini-action instead of a whole
 //! environment action" (Section V-A-7). Only the head of the action actually
-//! taken receives gradient, via the masked training of
-//! [`Network::train_batch_masked`](jarvis_neural::Network::train_batch_masked).
+//! taken receives gradient, via the Q-head training step
+//! [`Network::train_q_heads`](jarvis_neural::Network::train_q_heads).
+//!
+//! One `Replay(BSize)` runs two batched forwards and one backward: one
+//! bootstrap forward over the sampled next states (the target network's
+//! under a target network, else the online network's; under Double DQN one
+//! more through the online network to pick the action), and the training
+//! step, whose own forward over the sampled states supplies the target row.
 //!
 //! As an ablation beyond the paper, an optional *target network* (synced
 //! every `target_sync_every` replays) can stabilize the bootstrap; it is off
@@ -467,61 +473,70 @@ impl DqnAgent {
     /// discounted cumulative targets, train the DNN on the masked heads, and
     /// decay `ε` when the loss reaches the preferable level.
     ///
+    /// A replay costs one batched bootstrap forward and one training step.
+    /// The bootstrap forward runs over the next states of the non-terminal
+    /// samples through the frozen target network when there is one, else
+    /// through the online network; under Double DQN a second forward of the
+    /// same rows through the online network picks the action the target
+    /// network evaluates. The training step
+    /// ([`Network::train_q_heads`](jarvis_neural::Network::train_q_heads))
+    /// reuses its own forward over the states as the target row, so no
+    /// state is run through the network twice.
+    ///
     /// Returns `Ok(None)` while the memory holds fewer than `BSize`
     /// experiences, else the pre-update batch loss.
     ///
     /// # Errors
     ///
     /// Returns a [`NeuralError`] on internal dimension mismatches (which
-    /// indicate malformed experiences, e.g. wrong observation lengths).
+    /// indicate malformed experiences, e.g. wrong observation lengths, or an
+    /// out-of-range action index). The networks are untouched on error.
     pub fn replay(&mut self) -> Result<Option<f64>, NeuralError> {
-        let batch: Vec<Experience> = match self
-            .replay
-            .sample(self.config.batch_size, &mut self.rng)
-        {
-            Some(b) => b.into_iter().cloned().collect(),
-            None => return Ok(None),
+        let Some(batch) = self.replay.sample(self.config.batch_size, &mut self.rng) else {
+            return Ok(None);
         };
+        let outputs = self.net.output_size();
+        if let Some(exp) = batch.iter().find(|exp| exp.action >= outputs) {
+            return Err(NeuralError::BadVectorLength {
+                what: "experience action index",
+                expected: outputs,
+                got: exp.action,
+            });
+        }
 
-        let bootstrap_net = self.target.as_ref().unwrap_or(&self.net);
-        let mut inputs = Vec::with_capacity(batch.len());
-        let mut targets = Vec::with_capacity(batch.len());
-        let mut masks = Vec::with_capacity(batch.len());
+        // Row `k` of the bootstrap forwards is the `k`-th live sample.
+        let live: Vec<&[f64]> =
+            batch.iter().filter(|exp| !exp.done).map(|exp| exp.next.as_slice()).collect();
+        let double = self.config.double_dqn && self.target.is_some();
+        let (next_q, online_next) = if live.is_empty() {
+            (Vec::new(), Vec::new())
+        } else {
+            let bootstrap_net = self.target.as_ref().unwrap_or(&self.net);
+            let online_next =
+                if double { self.net.forward_batch(&live)? } else { Vec::new() };
+            (bootstrap_net.forward_batch(&live)?, online_next)
+        };
+        let mut heads = Vec::with_capacity(batch.len());
+        let mut live_row = 0;
         for exp in &batch {
-            let mut target_row = self.net.predict(&exp.state)?;
             let future = if exp.done {
                 0.0
-            } else if self.config.double_dqn && self.target.is_some() {
-                // Double DQN: the online net picks the action, the frozen
-                // target evaluates it.
-                let online_next = self.net.predict(&exp.next)?;
-                match policy::argmax(&online_next, &exp.next_valid) {
-                    Some(a) => bootstrap_net.predict(&exp.next)?[a],
-                    None => 0.0,
-                }
             } else {
-                policy::max_q(&bootstrap_net.predict(&exp.next)?, &exp.next_valid)
+                let q = &next_q[live_row];
+                let future = if double {
+                    // Double DQN: the online net picks the action, the
+                    // frozen target evaluates it.
+                    policy::argmax(&online_next[live_row], &exp.next_valid).map_or(0.0, |a| q[a])
+                } else {
+                    policy::max_q(q, &exp.next_valid)
+                };
+                live_row += 1;
+                future
             };
-            if exp.action >= target_row.len() {
-                return Err(NeuralError::BadVectorLength {
-                    what: "experience action index",
-                    expected: target_row.len(),
-                    got: exp.action,
-                });
-            }
-            target_row[exp.action] = exp.reward + self.config.gamma * future;
-            let mut mask = vec![0.0; self.config.num_actions];
-            mask[exp.action] = 1.0;
-            inputs.push(exp.state.clone());
-            targets.push(target_row);
-            masks.push(mask);
+            heads.push((exp.action, exp.reward + self.config.gamma * future));
         }
-        let input_refs: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
-        let target_refs: Vec<&[f64]> = targets.iter().map(Vec::as_slice).collect();
-        let mask_refs: Vec<&[f64]> = masks.iter().map(Vec::as_slice).collect();
-        let loss = self
-            .net
-            .train_batch_masked(&input_refs, &target_refs, Some(&mask_refs))?;
+        let states: Vec<&[f64]> = batch.iter().map(|exp| exp.state.as_slice()).collect();
+        let loss = self.net.train_q_heads(&states, &heads)?;
 
         self.replays_done += 1;
         if let (Some(every), Some(target)) =

@@ -223,3 +223,128 @@ fn dqn_act_respects_valid_set() {
         Ok(())
     });
 }
+
+/// The per-row `Replay(BSize)` that the batched replay replaced, kept as a
+/// test oracle: one `predict` per sampled state, one or two per live next
+/// state, and a one-hot `train_batch_masked` step. Applied to a checkpoint,
+/// it returns the checkpoint one replay later and the replay's loss.
+fn reference_replay(mut cp: DqnCheckpoint) -> (DqnCheckpoint, Option<f64>) {
+    let mut memory = ReplayBuffer::new(cp.config.replay_capacity);
+    memory.extend(cp.replay.iter().cloned());
+    let batch: Vec<Experience> = match memory.sample(cp.config.batch_size, &mut cp.rng) {
+        Some(b) => b.into_iter().cloned().collect(),
+        None => return (cp, None),
+    };
+    let double = cp.config.double_dqn && cp.target.is_some();
+    let mut inputs = Vec::new();
+    let mut targets = Vec::new();
+    let mut masks = Vec::new();
+    {
+        let bootstrap_net = cp.target.as_ref().unwrap_or(&cp.net);
+        for exp in &batch {
+            let mut target_row = cp.net.predict(&exp.state).unwrap();
+            let future = if exp.done {
+                0.0
+            } else if double {
+                let online_next = cp.net.predict(&exp.next).unwrap();
+                match argmax(&online_next, &exp.next_valid) {
+                    Some(a) => bootstrap_net.predict(&exp.next).unwrap()[a],
+                    None => 0.0,
+                }
+            } else {
+                max_q(&bootstrap_net.predict(&exp.next).unwrap(), &exp.next_valid)
+            };
+            target_row[exp.action] = exp.reward + cp.config.gamma * future;
+            let mut mask = vec![0.0; cp.config.num_actions];
+            mask[exp.action] = 1.0;
+            inputs.push(exp.state.clone());
+            targets.push(target_row);
+            masks.push(mask);
+        }
+    }
+    let input_refs: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
+    let target_refs: Vec<&[f64]> = targets.iter().map(Vec::as_slice).collect();
+    let mask_refs: Vec<&[f64]> = masks.iter().map(Vec::as_slice).collect();
+    let loss = cp.net.train_batch_masked(&input_refs, &target_refs, Some(&mask_refs)).unwrap();
+    cp.replays_done += 1;
+    if let (Some(every), Some(target)) = (cp.config.target_sync_every, cp.target.as_mut()) {
+        if cp.replays_done.is_multiple_of(every.max(1)) {
+            *target = cp.net.clone();
+        }
+    }
+    cp.schedule.observe_loss(loss);
+    (cp, Some(loss))
+}
+
+/// The batched replay (one bootstrap forward over the live next states,
+/// one training step that reuses its own forward) is bit-identical to the
+/// per-row reference in every mode — plain, target network, and Double DQN
+/// — over random shapes, batch sizes down to 1, terminal rows mixed among
+/// live ones, and empty next-valid sets. After every replay the losses,
+/// Q values and checkpoint bytes (weights, Adam moments, target network,
+/// RNG position, schedule) agree.
+#[test]
+fn dqn_replay_matches_per_row_reference_bitwise() {
+    use jarvis_stdkit::json::ToJson;
+    Config::with_cases(48).run(|g| {
+        let state_dim = g.usize_in(1, 5);
+        let num_actions = g.usize_in(1, 6);
+        let batch = g.usize_in(1, 12);
+        let mut cfg = DqnConfig::new(state_dim, num_actions);
+        cfg.hidden = (0..g.usize_in(1, 2)).map(|_| g.usize_in(1, 8)).collect();
+        cfg.batch_size = batch;
+        cfg.learning_rate = g.f64_in(0.001, 0.05);
+        cfg.gamma = g.f64_in(0.0, 1.0);
+        cfg.seed = g.u64();
+        cfg.schedule = EpsilonSchedule::new(1.0, 0.05, 0.9, g.f64_in(0.0, 1.0));
+        match g.usize_in(0, 2) {
+            0 => {}
+            1 => cfg.target_sync_every = Some(g.usize_in(1, 3)),
+            _ => {
+                cfg.target_sync_every = Some(g.usize_in(1, 3));
+                cfg.double_dqn = true;
+            }
+        }
+        let done_rate = g.f64_in(0.0, 1.0);
+        let mut agent = DqnAgent::new(cfg).unwrap();
+        let obs = |g: &mut jarvis_stdkit::propcheck::Gen| -> Vec<f64> {
+            (0..state_dim).map(|_| g.f64_in(-2.0, 2.0)).collect()
+        };
+        for _ in 0..batch + g.usize_in(0, 16) {
+            let mut next_valid: Vec<usize> =
+                (0..g.usize_in(0, num_actions)).map(|_| g.usize_in(0, num_actions - 1)).collect();
+            next_valid.sort_unstable();
+            next_valid.dedup();
+            agent.remember(Experience {
+                state: obs(g),
+                action: g.usize_in(0, num_actions - 1),
+                reward: g.f64_in(-1.0, 1.0),
+                next: obs(g),
+                next_valid,
+                done: g.bool(done_rate),
+            });
+        }
+        let probe = obs(g);
+        for r in 0..g.usize_in(1, 6) {
+            let (expected, expected_loss) = reference_replay(agent.checkpoint());
+            let loss = agent.replay().unwrap();
+            prop_assert_eq!(
+                loss.map(f64::to_bits),
+                expected_loss.map(f64::to_bits),
+                "loss of replay {r} diverged"
+            );
+            let q = agent.q_values(&probe).unwrap();
+            let q_ref = expected.net.predict(&probe).unwrap();
+            prop_assert!(
+                q.iter().zip(&q_ref).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "q values after replay {r} diverged: {q:?} vs {q_ref:?}"
+            );
+            prop_assert_eq!(
+                agent.checkpoint().to_json(),
+                expected.to_json(),
+                "checkpoint after replay {r} diverged"
+            );
+        }
+        Ok(())
+    });
+}

@@ -50,8 +50,28 @@ fn pipeline_artifacts(seed: u64) -> (String, String, String) {
     (episodes_json, policies_json, plan_json)
 }
 
+/// FNV-1a 64 of a serialized artifact.
+fn fnv1a(s: &str) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in s.bytes() {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x100_0000_01b3);
+    }
+    hash
+}
+
+/// FNV-1a hashes of `pipeline_artifacts(11)` — episode traces, policy
+/// snapshot, day plan — as recorded before the DQN replay was batched, so a
+/// change that moves any bit of Algorithm 1, the ANN filter or Algorithm 2
+/// fails here even though both runs of one build agree. A change that is
+/// meant to alter training regenerates them by printing
+/// `fnv1a(&artifact)` for each of the three artifacts of seed 11.
+const SEED11_HASHES: (u64, u64, u64) =
+    (0xb875_0e2f_f3b1_a626, 0xe18a_e512_a9e2_0504, 0xff8a_4fab_5986_71ea);
+
 /// Same seed → bit-identical episode traces, learned policies (including
-/// the ANN filter's weights), and optimized day plans.
+/// the ANN filter's weights), and optimized day plans, equal to the
+/// recorded hashes.
 #[test]
 fn pipeline_runs_are_bit_identical() {
     let (eps_a, pol_a, plan_a) = pipeline_artifacts(11);
@@ -59,6 +79,10 @@ fn pipeline_runs_are_bit_identical() {
     assert_eq!(eps_a, eps_b, "episode traces diverged");
     assert_eq!(pol_a, pol_b, "policy snapshots diverged");
     assert_eq!(plan_a, plan_b, "day plans diverged");
+    let (eps_hash, pol_hash, plan_hash) = SEED11_HASHES;
+    assert_eq!(fnv1a(&eps_a), eps_hash, "episode traces moved from the recorded run");
+    assert_eq!(fnv1a(&pol_a), pol_hash, "policy snapshot moved from the recorded run");
+    assert_eq!(fnv1a(&plan_a), plan_hash, "day plan moved from the recorded run");
 }
 
 /// Different seeds genuinely change the artifacts (the comparison above is
