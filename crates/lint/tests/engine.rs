@@ -28,53 +28,89 @@ fn run_rule(rule: Rule, fixture: &str) -> Vec<String> {
         .collect()
 }
 
-/// (rule, trip, clean, annotated) — one triple per rule.
-const CASES: [(Rule, &str, &str, &str); 10] = [
+/// (rule, trip, clean, annotated, trip lines) — one row per rule. The last
+/// column pins the trip fixture's exact findings: the 1-based lines the rule
+/// must report, and no others.
+const CASES: [(Rule, &str, &str, &str, &[usize]); 10] = [
     (
         Rule::NondetIter,
         "nondet_iter/trip.rs",
         "nondet_iter/clean.rs",
         "nondet_iter/annotated.rs",
+        &[9],
     ),
-    (Rule::WallClock, "wall_clock/trip.rs", "wall_clock/clean.rs", "wall_clock/annotated.rs"),
-    (Rule::Panics, "panics/trip.rs", "panics/clean.rs", "panics/annotated.rs"),
-    (Rule::Float, "float/trip.rs", "float/clean.rs", "float/annotated.rs"),
+    (
+        Rule::WallClock,
+        "wall_clock/trip.rs",
+        "wall_clock/clean.rs",
+        "wall_clock/annotated.rs",
+        &[5],
+    ),
+    (Rule::Panics, "panics/trip.rs", "panics/clean.rs", "panics/annotated.rs", &[4]),
+    (Rule::Float, "float/trip.rs", "float/clean.rs", "float/annotated.rs", &[4]),
     (
         Rule::Hermeticity,
         "hermeticity/trip_manifest.toml",
         "hermeticity/clean_manifest.toml",
         "hermeticity/annotated_manifest.toml",
+        &[7, 8, 11],
     ),
-    (Rule::Unwind, "unwind/trip.rs", "unwind/clean.rs", "unwind/annotated.rs"),
+    (Rule::Unwind, "unwind/trip.rs", "unwind/clean.rs", "unwind/annotated.rs", &[5]),
     (
         Rule::UnsafeAudit,
         "unsafe_audit/trip.rs",
         "unsafe_audit/clean.rs",
         "unsafe_audit/annotated.rs",
+        &[7, 9, 14],
     ),
     (
         Rule::AtomicOrdering,
         "atomic_ordering/trip.rs",
         "atomic_ordering/clean.rs",
         "atomic_ordering/annotated.rs",
+        &[12, 16, 20],
     ),
     (
         Rule::LockDiscipline,
         "lock_discipline/trip.rs",
         "lock_discipline/clean.rs",
         "lock_discipline/annotated.rs",
+        &[24, 29, 34],
     ),
     (
         Rule::ResultDiscard,
         "result_discard/trip.rs",
         "result_discard/clean.rs",
         "result_discard/annotated.rs",
+        &[4, 8],
     ),
 ];
 
+/// The `(line, rule)` pairs a rule reports on one fixture.
+fn findings(rule: Rule, fixture: &str) -> Vec<(usize, Rule)> {
+    let opts = Options { rules: vec![rule], quick: false };
+    lint_paths(&root(), &[fixtures().join(fixture)], &opts)
+        .expect("lint fixture")
+        .iter()
+        .map(|v| (v.line, v.rule))
+        .collect()
+}
+
+#[test]
+fn trip_fixtures_report_exactly_the_pinned_lines() {
+    for (rule, trip, _, _, lines) in CASES {
+        let want: Vec<(usize, Rule)> = lines.iter().map(|&l| (l, rule)).collect();
+        assert_eq!(findings(rule, trip), want, "{} on {trip}", rule.name());
+    }
+    assert_eq!(
+        findings(Rule::NondetIter, "nondet_iter/fold_trip.rs"),
+        vec![(13, Rule::NondetIter)]
+    );
+}
+
 #[test]
 fn every_rule_trips_on_its_trip_fixture() {
-    for (rule, trip, _, _) in CASES {
+    for (rule, trip, _, _, _) in CASES {
         let v = run_rule(rule, trip);
         assert!(!v.is_empty(), "{} did not trip on {trip}", rule.name());
         for line in &v {
@@ -88,7 +124,7 @@ fn every_rule_trips_on_its_trip_fixture() {
 
 #[test]
 fn every_rule_passes_clean_and_annotated_fixtures() {
-    for (rule, _, clean, annotated) in CASES {
+    for (rule, _, clean, annotated, _) in CASES {
         let v = run_rule(rule, clean);
         assert!(v.is_empty(), "{} tripped on {clean}: {v:?}", rule.name());
         let v = run_rule(rule, annotated);
@@ -154,7 +190,7 @@ fn cli(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn cli_trip_fixture_exits_nonzero_with_report() {
-    for (rule, trip, _, _) in CASES {
+    for (rule, trip, _, _, _) in CASES {
         let path = fixtures().join(trip);
         let out = cli(&["--rule", rule.name(), path.to_str().unwrap()]);
         assert_eq!(out.status.code(), Some(1), "{} on {trip}", rule.name());
@@ -169,7 +205,7 @@ fn cli_trip_fixture_exits_nonzero_with_report() {
 
 #[test]
 fn cli_clean_and_annotated_fixtures_exit_zero() {
-    for (rule, _, clean, annotated) in CASES {
+    for (rule, _, clean, annotated, _) in CASES {
         for fixture in [clean, annotated] {
             let path = fixtures().join(fixture);
             let out = cli(&["--rule", rule.name(), path.to_str().unwrap()]);
@@ -241,7 +277,7 @@ fn cli_help_documents_exit_codes_and_all_rules() {
     for needle in ["exit codes", "0  clean", "1  violations", "2  usage", "3  --budget-ms"] {
         assert!(stderr.contains(needle), "--help lacks {needle:?}: {stderr}");
     }
-    for (rule, _, _, _) in CASES {
+    for (rule, _, _, _, _) in CASES {
         assert!(stderr.contains(rule.name()), "--help lacks rule {}", rule.name());
     }
 }
