@@ -1,7 +1,6 @@
 //! The workspace walker and rule driver.
 
 use crate::rules::{self, Rule, Violation};
-use crate::scan::scan_source;
 use crate::syntax::SyntaxFile;
 use std::fs;
 use std::io;
@@ -146,23 +145,17 @@ fn collect(dir: &Path, root: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Workspace-relative display path with `/` separators.
+/// Workspace-relative display path with `/` separators; a path outside the
+/// workspace prints as given.
 fn rel_display(root: &Path, path: &Path) -> String {
-    let rel = path.strip_prefix(root).unwrap_or(path);
-    rel.components()
-        .map(|c| c.as_os_str().to_string_lossy())
-        .collect::<Vec<_>>()
-        .join("/")
-}
-
-/// Does any requested syntax rule (R7–R10) apply to this file?
-fn needs_syntax(opts: &Options, rel: &str, explicit: bool) -> bool {
-    opts.rules.iter().any(|&r| {
-        matches!(
-            r,
-            Rule::UnsafeAudit | Rule::AtomicOrdering | Rule::LockDiscipline | Rule::ResultDiscard
-        ) && (explicit || rules::in_scope(r, rel))
-    })
+    match path.strip_prefix(root) {
+        Ok(rel) => rel
+            .components()
+            .map(|c| c.as_os_str().to_string_lossy())
+            .collect::<Vec<_>>()
+            .join("/"),
+        Err(_) => path.to_string_lossy().into_owned(),
+    }
 }
 
 /// Run the requested rules over a file list. With `explicit`, scope filters
@@ -182,7 +175,6 @@ fn lint_files(
             *total += d;
         }
     };
-    let no_syntax = SyntaxFile::parse("");
     for path in files {
         let rel = rel_display(root, path);
         let is_manifest = rel.ends_with(".toml");
@@ -198,16 +190,8 @@ fn lint_files(
             }
             continue;
         }
-        let scanned = scan_source(&text);
-        // The token-tree pass is built once per file and shared by every
-        // syntax rule; files no syntax rule touches skip it entirely.
-        let parsed;
-        let syntax = if needs_syntax(opts, &rel, explicit) {
-            parsed = SyntaxFile::parse(&text);
-            &parsed
-        } else {
-            &no_syntax
-        };
+        // One lex and parse per file, shared by every source rule.
+        let syntax = SyntaxFile::parse(&text);
         for &rule in &opts.rules {
             if rule == Rule::Hermeticity {
                 continue;
@@ -215,7 +199,7 @@ fn lint_files(
             if explicit || rules::in_scope(rule, &rel) {
                 // wall-clock-ok: lint self-timing for the verify.sh gate
                 let t0 = std::time::Instant::now();
-                out.extend(rules::check_source(rule, &rel, &scanned, syntax));
+                out.extend(rules::check_source(rule, &rel, &syntax));
                 spent(rule, t0.elapsed());
             }
         }
@@ -257,6 +241,7 @@ mod tests {
     fn rel_display_uses_forward_slashes() {
         let root = Path::new("/a/b");
         assert_eq!(rel_display(root, Path::new("/a/b/c/d.rs")), "c/d.rs");
+        assert_eq!(rel_display(root, Path::new("/x/y.rs")), "/x/y.rs", "outside: as given");
     }
 
     #[test]

@@ -1,12 +1,9 @@
-//! A zero-dependency Rust lexer: the full token stream underneath the
-//! token-tree rules (R7–R10).
-//!
-//! The PR-5 line scanner ([`crate::scan`]) blanks literals and strips
-//! comments but keeps no tokens — good enough for per-line substring rules,
-//! blind to anything that needs expression structure (which atomic call
-//! does an `Ordering::` belong to? is this `.lock()` guard still live at
-//! that `.join()`?). This module produces real tokens with line/column
-//! positions:
+//! A zero-dependency Rust lexer: the workspace's one Rust front end. Every
+//! source rule reads its token stream through [`crate::syntax`] — R7–R10
+//! walk the token tree (which atomic call does an `Ordering::` belong to?
+//! is this `.lock()` guard still live at that `.join()`?), and R1–R6
+//! search the per-line code view projected from the same tokens. This
+//! module produces real tokens with line/column positions:
 //!
 //! * identifiers — including raw identifiers (`r#type`) and keywords
 //!   (`unsafe` is just an ident here; rules decide what it means);
@@ -25,7 +22,7 @@
 //! whitespace between tokens and a newline after each line comment) and
 //! re-lexing reproduces the same `(kind, text)` sequence. The property
 //! tests in `tests/propcheck.rs` hammer this against generated token soup
-//! and cross-check the scanner's comment map against the lexer's.
+//! and check the line view projected from the tokens against them.
 
 /// What a token is. `text` always holds the exact source slice, so e.g. a
 /// raw string keeps its `r#"…"#` fences and a doc comment keeps its

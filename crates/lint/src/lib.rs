@@ -5,10 +5,10 @@
 //! by byte-identical replay across seeds, shard counts, and thread counts —
 //! and its serving core now rests on hand-rolled lock-free code and
 //! `unsafe` SIMD kernels. This crate makes both a *checked property of the
-//! sources*: a zero-dependency static-analysis tool with two passes — a
-//! fast line scanner (comment/string/attribute-aware, `#[cfg(test)]`-scoped)
-//! for R1–R6, and a full Rust lexer + token-tree/scope pass
-//! ([`lexer`]/[`syntax`]) for the R7–R10 concurrency-audit family.
+//! sources*: a zero-dependency static-analysis tool that lexes and parses
+//! each file once ([`lexer`]/[`syntax`]). R1–R6 search the parsed file's
+//! line view (comments stripped, literals blanked, `#[cfg(test)]` scopes
+//! marked); the R7–R10 concurrency-audit family walks its token tree.
 //!
 //! | rule | name | what it bans |
 //! |------|------|--------------|
@@ -38,7 +38,6 @@ pub mod audit;
 pub mod engine;
 pub mod lexer;
 pub mod rules;
-pub mod scan;
 pub mod syntax;
 
 pub use engine::{
@@ -47,5 +46,4 @@ pub use engine::{
 };
 pub use lexer::{lex, Token, TokenKind};
 pub use rules::{check_manifest, check_source, Rule, Violation};
-pub use scan::{scan_source, ScannedFile};
 pub use syntax::{Scope, ScopeKind, SyntaxFile};

@@ -1,10 +1,11 @@
-//! The lint rules. R1–R6 work on a [`ScannedFile`] (fast line scan); the
-//! R7–R10 concurrency-audit family works on a [`SyntaxFile`] (token-tree
-//! pass, see [`crate::audit`]). See DESIGN.md §12/§17 for rationale and the
-//! annotation grammar.
+//! The lint rules. Every source rule reads the one [`SyntaxFile`] built per
+//! file: R1–R4 and R6 search its line view (code with comments stripped and
+//! literals blanked, plus per-line test flags and comments), and the R7–R10
+//! concurrency-audit family walks its token tree (see [`crate::audit`]).
+//! See DESIGN.md §12/§17 for rationale and the annotation grammar.
 
 use crate::audit;
-use crate::scan::ScannedFile;
+use crate::lexer::TokenKind;
 use crate::syntax::SyntaxFile;
 
 /// A rule identifier, stable across output and CLI.
@@ -189,14 +190,9 @@ pub fn in_scope(rule: Rule, rel_path: &str) -> bool {
     }
 }
 
-/// Run one source-code rule over a scanned + parsed file.
+/// Run one source-code rule over a parsed file.
 #[must_use]
-pub fn check_source(
-    rule: Rule,
-    rel_path: &str,
-    file: &ScannedFile,
-    syntax: &SyntaxFile,
-) -> Vec<Violation> {
+pub fn check_source(rule: Rule, rel_path: &str, file: &SyntaxFile) -> Vec<Violation> {
     match rule {
         Rule::NondetIter => check_nondet_iter(rel_path, file),
         Rule::WallClock => check_wall_clock(rel_path, file),
@@ -204,10 +200,10 @@ pub fn check_source(
         Rule::Float => check_float(rel_path, file),
         Rule::Hermeticity => Vec::new(),
         Rule::Unwind => check_unwind(rel_path, file),
-        Rule::UnsafeAudit => audit::check_unsafe_audit(rel_path, syntax),
-        Rule::AtomicOrdering => audit::check_atomic_ordering(rel_path, syntax),
-        Rule::LockDiscipline => audit::check_lock_discipline(rel_path, syntax),
-        Rule::ResultDiscard => audit::check_result_discard(rel_path, syntax),
+        Rule::UnsafeAudit => audit::check_unsafe_audit(rel_path, file),
+        Rule::AtomicOrdering => audit::check_atomic_ordering(rel_path, file),
+        Rule::LockDiscipline => audit::check_lock_discipline(rel_path, file),
+        Rule::ResultDiscard => audit::check_result_discard(rel_path, file),
     }
 }
 
@@ -220,30 +216,32 @@ const ITER_METHODS: [&str; 8] = [
     "iter", "iter_mut", "keys", "values", "values_mut", "drain", "into_iter", "retain",
 ];
 
-fn check_nondet_iter(rel_path: &str, file: &ScannedFile) -> Vec<Violation> {
+fn check_nondet_iter(rel_path: &str, file: &SyntaxFile) -> Vec<Violation> {
     let idents = hash_idents(file);
     let mut out = Vec::new();
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
+    let lines = file.code_lines();
+    for (idx, code) in lines.iter().enumerate() {
+        if file.in_test(idx) {
             continue;
         }
-        let code = &line.code;
         let mut hit: Option<(String, String)> = None; // (ident, method)
         for m in &ITER_METHODS {
             let pat = format!(".{m}(");
             let mut from = 0;
             while let Some(pos) = code[from..].find(&pat) {
                 let at = from + pos;
-                let recv = receiver_before(code, at).or_else(|| {
+                // The receiver is the last path segment before the `.`
+                // (`self.watts.iter()` → `watts`).
+                let recv = ident_ending_at(code, at).or_else(|| {
                     // A chain continued from the previous line:
                     //     self.times
                     //         .iter()
                     if code[..at].trim().is_empty() {
-                        file.lines[..idx]
+                        lines[..idx]
                             .iter()
                             .rev()
                             .take(3)
-                            .map(|l| l.code.trim_end())
+                            .map(|l| l.trim_end())
                             .find(|c| !c.is_empty())
                             .and_then(|c| ident_ending_at(c, c.len()))
                     } else {
@@ -271,7 +269,7 @@ fn check_nondet_iter(rel_path: &str, file: &ScannedFile) -> Vec<Violation> {
             }
         }
         let Some((ident, method)) = hit else { continue };
-        if file.annotated(idx, "nondet-ok:") {
+        if file.line_annotated(idx, "nondet-ok:") {
             continue;
         }
         if sorted_nearby(file, idx) {
@@ -293,10 +291,9 @@ fn check_nondet_iter(rel_path: &str, file: &ScannedFile) -> Vec<Violation> {
 
 /// Identifiers in this file declared with a `HashMap`/`HashSet` type
 /// (field/let type annotations and `= HashMap::new()`-style bindings).
-fn hash_idents(file: &ScannedFile) -> Vec<String> {
+fn hash_idents(file: &SyntaxFile) -> Vec<String> {
     let mut idents = Vec::new();
-    for line in &file.lines {
-        let code = &line.code;
+    for code in file.code_lines() {
         for ty in ["HashMap", "HashSet"] {
             let mut from = 0;
             while let Some(pos) = code[from..].find(ty) {
@@ -415,12 +412,6 @@ fn ident_ending_at(code: &str, end: usize) -> Option<String> {
     }
 }
 
-/// The receiver identifier immediately before the `.` at `dot` (the last
-/// path segment: `self.watts.iter()` → `watts`).
-fn receiver_before(code: &str, dot: usize) -> Option<String> {
-    ident_ending_at(code, dot)
-}
-
 /// `for x in <expr> {` where `<expr>` is a plain (possibly `&`/`self.`)
 /// path — returns the final segment.
 fn for_loop_over(code: &str) -> Option<String> {
@@ -449,42 +440,45 @@ fn for_loop_over(code: &str) -> Option<String> {
 /// Is the iteration's result pinned to a deterministic order nearby — a
 /// `sort`/`BTree` collect within the same statement window (the flagged
 /// line plus the next five)?
-fn sorted_nearby(file: &ScannedFile, idx: usize) -> bool {
-    file.lines[idx..file.lines.len().min(idx + 6)]
+fn sorted_nearby(file: &SyntaxFile, idx: usize) -> bool {
+    let lines = file.code_lines();
+    lines[idx..lines.len().min(idx + 6)]
         .iter()
-        .any(|l| l.code.contains("sort") || l.code.contains("BTree"))
+        .any(|l| l.contains("sort") || l.contains("BTree"))
 }
 
 // ---------------------------------------------------------------------------
 // R2: wall-clock
 // ---------------------------------------------------------------------------
 
-fn check_wall_clock(rel_path: &str, file: &ScannedFile) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        for token in ["Instant::now", "SystemTime"] {
-            if line.code.contains(token) {
-                if file.annotated(idx, "wall-clock-ok:") {
-                    continue;
-                }
-                out.push(Violation {
-                    file: rel_path.to_string(),
-                    line: idx + 1,
-                    rule: Rule::WallClock,
-                    msg: format!(
-                        "`{token}` outside stdkit::bench / crates/bench: wall-clock reads \
-                         break replay determinism; inject a clock or justify with \
-                         `// wall-clock-ok: <why>`"
-                    ),
-                });
-                break;
-            }
-        }
-    }
-    out
+/// Each non-test line containing one of `tokens` and not annotated with
+/// `tag`, with the first token it contains.
+fn token_hits<'a>(
+    file: &'a SyntaxFile,
+    tokens: &'a [&'a str],
+    tag: &'a str,
+) -> impl Iterator<Item = (usize, &'a str)> + 'a {
+    file.code_lines()
+        .iter()
+        .enumerate()
+        .filter(|&(idx, _)| !file.in_test(idx))
+        .filter_map(|(idx, code)| Some((idx, *tokens.iter().find(|t| code.contains(*t))?)))
+        .filter(move |&(idx, _)| !file.line_annotated(idx, tag))
+}
+
+fn check_wall_clock(rel_path: &str, file: &SyntaxFile) -> Vec<Violation> {
+    token_hits(file, &["Instant::now", "SystemTime"], "wall-clock-ok:")
+        .map(|(idx, token)| Violation {
+            file: rel_path.to_string(),
+            line: idx + 1,
+            rule: Rule::WallClock,
+            msg: format!(
+                "`{token}` outside stdkit::bench / crates/bench: wall-clock reads \
+                 break replay determinism; inject a clock or justify with \
+                 `// wall-clock-ok: <why>`"
+            ),
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -500,46 +494,32 @@ const PANIC_TOKENS: [&str; 6] = [
     "unimplemented!(",
 ];
 
-fn check_panics(rel_path: &str, file: &ScannedFile) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        for token in PANIC_TOKENS {
-            if line.code.contains(token) {
-                if file.annotated(idx, "invariant:") {
-                    continue;
-                }
-                out.push(Violation {
-                    file: rel_path.to_string(),
-                    line: idx + 1,
-                    rule: Rule::Panics,
-                    msg: format!(
-                        "`{token}` in a pipeline crate: faults are data, not bugs — return \
-                         JarvisError/ModelError, or justify with `// invariant: <why it \
-                         cannot fire>`",
-                        token = token.trim_start_matches('.')
-                    ),
-                });
-                break;
-            }
-        }
-    }
-    out
+fn check_panics(rel_path: &str, file: &SyntaxFile) -> Vec<Violation> {
+    token_hits(file, &PANIC_TOKENS, "invariant:")
+        .map(|(idx, token)| Violation {
+            file: rel_path.to_string(),
+            line: idx + 1,
+            rule: Rule::Panics,
+            msg: format!(
+                "`{token}` in a pipeline crate: faults are data, not bugs — return \
+                 JarvisError/ModelError, or justify with `// invariant: <why it \
+                 cannot fire>`",
+                token = token.trim_start_matches('.')
+            ),
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
 // R4: float determinism
 // ---------------------------------------------------------------------------
 
-fn check_float(rel_path: &str, file: &ScannedFile) -> Vec<Violation> {
+fn check_float(rel_path: &str, file: &SyntaxFile) -> Vec<Violation> {
     let mut out = Vec::new();
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
+    for (idx, code) in file.code_lines().iter().enumerate() {
+        if file.in_test(idx) {
             continue;
         }
-        let code = &line.code;
         let hit = if code.contains(".mul_add(") {
             Some(("mul_add", "contracts to FMA on some targets, changing results bitwise"))
         } else if code.contains(".powf(") {
@@ -552,7 +532,7 @@ fn check_float(rel_path: &str, file: &ScannedFile) -> Vec<Violation> {
             None
         };
         let Some((token, why)) = hit else { continue };
-        if file.annotated(idx, "float-ok:") {
+        if file.line_annotated(idx, "float-ok:") {
             continue;
         }
         out.push(Violation {
@@ -665,23 +645,19 @@ pub fn check_manifest(rel_path: &str, text: &str) -> Vec<Violation> {
 // R6: panic boundaries
 // ---------------------------------------------------------------------------
 
-fn check_unwind(rel_path: &str, file: &ScannedFile) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        if !line.code.contains("catch_unwind") {
-            continue;
-        }
-        // Imports are harmless; the rule polices call sites.
-        if line.code.trim_start().starts_with("use ") {
-            continue;
-        }
-        if file.annotated(idx, "unwind-ok:") {
-            continue;
-        }
-        out.push(Violation {
+fn check_unwind(rel_path: &str, file: &SyntaxFile) -> Vec<Violation> {
+    // Imports are harmless; the rule polices call sites.
+    let import_only = |idx: usize| {
+        file.tokens
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.line == idx && t.kind == TokenKind::Ident)
+            .filter(|(_, t)| t.text.contains("catch_unwind"))
+            .all(|(i, _)| in_use_item(file, i))
+    };
+    token_hits(file, &["catch_unwind"], "unwind-ok:")
+        .filter(|&(idx, _)| !import_only(idx))
+        .map(|(idx, _)| Violation {
             file: rel_path.to_string(),
             line: idx + 1,
             rule: Rule::Unwind,
@@ -689,18 +665,43 @@ fn check_unwind(rel_path: &str, file: &ScannedFile) -> Vec<Violation> {
                   panic hides corrupted state; route the failure through the supervised \
                   recovery path or justify with `// unwind-ok: <why>`"
                 .to_string(),
-        });
+        })
+        .collect()
+}
+
+/// Is token `i` part of a `use` (or `pub use`, `pub(crate) use`) item,
+/// grouped imports (`use a::{b, c}`) and leading attributes included?
+fn in_use_item(file: &SyntaxFile, i: usize) -> bool {
+    let is = |j: Option<usize>, text: &str| j.is_some_and(|j| file.tokens[j].text == text);
+    let mut start = file.stmt_start(i);
+    // Inside a `::{ … }` group, continue from the group's opening brace.
+    while let Some(open) = start.checked_sub(1) {
+        if !(is(Some(open), "{") && is(file.prev_code(open), ":")) {
+            break;
+        }
+        start = file.stmt_start(open);
     }
-    out
+    let mut j = file.next_code(start);
+    // Skip attributes (`#[cfg(…)]`) and a `pub`/`pub(…)` visibility.
+    while is(j, "#") {
+        j = j.and_then(|h| file.next_code(h + 1));
+        j = j.and_then(|o| file.partner(o)).and_then(|c| file.next_code(c + 1));
+    }
+    if is(j, "pub") {
+        j = j.and_then(|p| file.next_code(p + 1));
+        if is(j, "(") {
+            j = j.and_then(|o| file.partner(o)).and_then(|c| file.next_code(c + 1));
+        }
+    }
+    is(j, "use")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::scan_source;
 
     fn check(rule: Rule, path: &str, src: &str) -> Vec<Violation> {
-        check_source(rule, path, &scan_source(src), &SyntaxFile::parse(src))
+        check_source(rule, path, &SyntaxFile::parse(src))
     }
 
     #[test]
@@ -824,6 +825,19 @@ mod tests {
         let v = check(Rule::Unwind, "crates/core/src/x.rs", src);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].line, 1);
+    }
+
+    #[test]
+    fn unwind_exempts_imports_of_every_shape() {
+        let src = "use std::panic::{\n\
+                       catch_unwind, AssertUnwindSafe,\n\
+                   };\n\
+                   pub use std::panic::catch_unwind as cu;\n\
+                   #[cfg(unix)]\n\
+                   pub(crate) use std::panic::catch_unwind as cu2;\n\
+                   fn f() { use std::panic::catch_unwind; let _ = catch_unwind(|| 1); }\n";
+        let v = check(Rule::Unwind, "crates/core/src/x.rs", src);
+        assert_eq!(v.iter().map(|v| v.line).collect::<Vec<_>>(), vec![7], "only the call site");
     }
 
     #[test]

@@ -1,9 +1,14 @@
-//! The token-tree / scope pass: everything the concurrency-audit rules
-//! (R7–R10) need beyond raw tokens.
+//! The token-tree / scope pass: the one parsed form of a source file that
+//! every source rule (R1–R4, R6–R10) reads.
 //!
 //! Built once per file from the [`crate::lexer`] stream, this pass
 //! provides:
 //!
+//! * **the line view** — per line, the code text with comments stripped
+//!   and literal contents blanked to spaces, columns preserved, plus the
+//!   line's `//` comment text: R1–R6 search these with plain substring
+//!   matches, so `"Instant::now()"` inside a log string or a commented-out
+//!   `.unwrap()` can never trip them;
 //! * **delimiter matching** — every `(`/`[`/`{` knows its partner, and
 //!   every token knows its nesting depth;
 //! * **scope attribution** — which `fn`/`impl`/`mod` item a token is in,
@@ -17,9 +22,11 @@
 //!   `// safety:` note above `#[allow(unsafe_code)]` still attaches to the
 //!   `unsafe` underneath it).
 //!
-//! The annotation grammar lives here too: [`SyntaxFile::annotated`] is the
-//! R7–R10 twin of the scanner's per-line escape-hatch lookup, but
-//! case-insensitive and statement-aware.
+//! The annotation grammar lives here too, in two forms:
+//! [`SyntaxFile::line_annotated`] is R1–R6's per-line escape hatch (the
+//! line itself or the comment-only line directly above, case-sensitive),
+//! and [`SyntaxFile::annotated`] is R7–R10's attached-comment, statement-
+//! aware, case-insensitive one.
 
 use crate::lexer::{lex, Token, TokenKind};
 
@@ -68,12 +75,14 @@ pub struct SyntaxFile {
     scope_of: Vec<Option<usize>>,
     /// Per 0-based line: combined text of `//` comments starting there.
     line_comment: Vec<String>,
+    /// Per line: the code with comments stripped and literal contents
+    /// blanked (see [`SyntaxFile::code_lines`]).
+    code: Vec<String>,
     /// Per line: true when the line holds only comments/attributes (no
     /// other code tokens start or continue there).
     passive_line: Vec<bool>,
     /// Per line: true when inside a test-gated item.
     test_line: Vec<bool>,
-    line_count: usize,
 }
 
 impl SyntaxFile {
@@ -86,7 +95,8 @@ impl SyntaxFile {
         let depth = depths(&tokens);
         let scopes = find_scopes(&tokens, &matching);
         let scope_of = attribute_scopes(&tokens, &scopes);
-        let (line_comment, passive_line) = line_tables(&tokens, line_count);
+        let (line_comment, passive_line) = line_tables(&tokens, &matching, line_count);
+        let code = code_lines(src, &tokens, line_count);
         let test_line = test_lines(&tokens, &scopes, line_count);
         SyntaxFile {
             tokens,
@@ -95,9 +105,9 @@ impl SyntaxFile {
             scopes,
             scope_of,
             line_comment,
+            code,
             passive_line,
             test_line,
-            line_count,
         }
     }
 
@@ -142,6 +152,35 @@ impl SyntaxFile {
     #[must_use]
     pub fn in_test(&self, line: usize) -> bool {
         self.test_line.get(line).copied().unwrap_or(false)
+    }
+
+    /// The code text of every line, indexed by 0-based line: comments
+    /// stripped, the contents of string/char literals blanked to spaces,
+    /// block comments and raw strings blanked whole, columns preserved.
+    #[must_use]
+    pub fn code_lines(&self) -> &[String] {
+        &self.code
+    }
+
+    /// Text of the `//` comment on 0-based `line` (slashes and surrounding
+    /// whitespace trimmed), or empty.
+    #[must_use]
+    pub fn line_comment(&self, line: usize) -> &str {
+        self.line_comment.get(line).map_or("", String::as_str)
+    }
+
+    /// R1–R6's escape hatch: is 0-based `line` annotated with `tag` (e.g.
+    /// `"nondet-ok:"`), either in its own `//` comment or in a comment-only
+    /// line directly above? Matching is case-sensitive, and the tag must be
+    /// followed by a non-empty justification.
+    #[must_use]
+    pub fn line_annotated(&self, line: usize, tag: &str) -> bool {
+        let has = |l: usize| {
+            let c = self.line_comment(l);
+            c.find(tag).is_some_and(|p| !c[p + tag.len()..].trim().is_empty())
+        };
+        let blank = |l: usize| self.code.get(l).is_some_and(|c| c.trim().is_empty());
+        has(line) || (line > 0 && blank(line - 1) && has(line - 1))
     }
 
     /// Is token `i` inside a test-gated item?
@@ -223,7 +262,7 @@ impl SyntaxFile {
     /// Number of source lines.
     #[must_use]
     pub fn line_count(&self) -> usize {
-        self.line_count
+        self.code.len()
     }
 
     /// Index of the next non-comment token at or after `i`.
@@ -384,15 +423,8 @@ fn find_scopes(tokens: &[Token], matching: &[Option<usize>]) -> Vec<Scope> {
         match t.kind {
             TokenKind::Punct if t.text == "#" => {
                 // `#[...]` or `#![...]`: swallow the attribute, record it.
-                let mut j = i + 1;
-                if let Some(k) = next_code(tokens, j) {
-                    if tokens[k].text == "!" {
-                        j = k + 1;
-                    }
-                }
-                if let Some(open) = next_code(tokens, j).filter(|&k| tokens[k].text == "[") {
-                    let close = matching[open].unwrap_or(open);
-                    let text: String = tokens[open..=close.min(tokens.len() - 1)]
+                if let Some((open, close)) = attribute_at(tokens, matching, i) {
+                    let text: String = tokens[open..=close]
                         .iter()
                         .map(|t| t.text.as_str())
                         .collect();
@@ -437,6 +469,18 @@ fn find_scopes(tokens: &[Token], matching: &[Option<usize>]) -> Vec<Scope> {
     scopes
 }
 
+/// When token `i` is the `#` of an attribute (`#[…]` or `#![…]`), the
+/// token indices of its `[` and of the matching `]` (the `[` itself when
+/// unterminated).
+fn attribute_at(tokens: &[Token], matching: &[Option<usize>], i: usize) -> Option<(usize, usize)> {
+    let mut j = i + 1;
+    if let Some(bang) = next_code(tokens, j).filter(|&k| tokens[k].text == "!") {
+        j = bang + 1;
+    }
+    let open = next_code(tokens, j).filter(|&k| tokens[k].text == "[")?;
+    Some((open, matching[open].unwrap_or(open)))
+}
+
 fn is_test_attr(attr: &str) -> bool {
     attr == "[test]" || attr.starts_with("[cfg(test") || attr.starts_with("[cfg(any(test")
 }
@@ -455,7 +499,11 @@ fn attribute_scopes(tokens: &[Token], scopes: &[Scope]) -> Vec<Option<usize>> {
 }
 
 /// Per-line comment text and "passive" (comment/attribute-only) flags.
-fn line_tables(tokens: &[Token], line_count: usize) -> (Vec<String>, Vec<bool>) {
+fn line_tables(
+    tokens: &[Token],
+    matching: &[Option<usize>],
+    line_count: usize,
+) -> (Vec<String>, Vec<bool>) {
     let mut comment = vec![String::new(); line_count];
     // A line is passive when no code token starts on or spans it.
     let mut has_code = vec![false; line_count];
@@ -484,40 +532,15 @@ fn line_tables(tokens: &[Token], line_count: usize) -> (Vec<String>, Vec<bool>) 
                 }
             }
             TokenKind::Punct if t.text == "#" => {
-                // Attribute lines are passive: peek for `[...]` and skip it
-                // whole, marking its lines attribute-only (not code).
-                let mut j = i + 1;
-                if let Some(k) = next_code(tokens, j) {
-                    if tokens[k].text == "!" {
-                        j = k + 1;
-                    }
-                }
-                if let Some(open) = next_code(tokens, j).filter(|&k| tokens[k].text == "[") {
-                    // Find the close by scanning a bracket balance (the
-                    // matching table is not available here; attributes are
-                    // short).
-                    let mut bal = 0i32;
-                    let mut k = open;
-                    while k < tokens.len() {
-                        match tokens[k].text.as_str() {
-                            "[" => bal += 1,
-                            "]" => {
-                                bal -= 1;
-                                if bal == 0 {
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        k += 1;
-                    }
-                    let end = k.min(tokens.len() - 1);
-                    for l in t.line..=tokens[end].end_line() {
+                // Attribute lines are passive: skip the `[...]` whole,
+                // marking its lines attribute-only (not code).
+                if let Some((_, close)) = attribute_at(tokens, matching, i) {
+                    for l in t.line..=tokens[close].end_line() {
                         if let Some(f) = has_any.get_mut(l) {
                             *f = true;
                         }
                     }
-                    i = end + 1;
+                    i = close + 1;
                     continue;
                 }
                 mark_code(&mut has_code, &mut has_any, t);
@@ -528,6 +551,56 @@ fn line_tables(tokens: &[Token], line_count: usize) -> (Vec<String>, Vec<bool>) 
     }
     let passive = (0..line_count).map(|l| has_any[l] && !has_code[l]).collect();
     (comment, passive)
+}
+
+/// The per-line code view: each source line with comments stripped and
+/// literal contents blanked to spaces, columns preserved. Line comments cut
+/// the line; block comments and raw strings become spaces; `"…"`, `b"…"`,
+/// `'…'` and `b'…'` keep their prefix and quotes and blank only what lies
+/// between them (an unterminated literal blanks to its end).
+fn code_lines(src: &str, tokens: &[Token], line_count: usize) -> Vec<String> {
+    let mut lines: Vec<Vec<char>> = src.lines().map(|l| l.chars().collect()).collect();
+    lines.resize(line_count, Vec::new());
+    for t in tokens {
+        // Byte offsets into `t.text` to blank; prefixes and quotes are ASCII.
+        let blanked = match t.kind {
+            TokenKind::LineComment => {
+                if let Some(l) = lines.get_mut(t.line) {
+                    l.truncate(t.col);
+                }
+                continue;
+            }
+            TokenKind::BlockComment | TokenKind::RawStr => 0..t.text.len(),
+            TokenKind::Str | TokenKind::ByteStr | TokenKind::Char | TokenKind::ByteChar => {
+                let b = t.text.as_bytes();
+                let open = usize::from(b[0] == b'b');
+                let last = b.len() - 1;
+                let escapes = b[open + 1..last.max(open + 1)]
+                    .iter()
+                    .rev()
+                    .take_while(|&&c| c == b'\\')
+                    .count();
+                let closed = last > open && b[last] == b[open] && escapes % 2 == 0;
+                open + 1..if closed { last } else { b.len() }
+            }
+            _ => continue,
+        };
+        let (mut line, mut col) = (t.line, t.col);
+        for (k, c) in t.text.char_indices() {
+            if c == '\n' {
+                line += 1;
+                col = 0;
+                continue;
+            }
+            if blanked.contains(&k) {
+                if let Some(slot) = lines.get_mut(line).and_then(|l| l.get_mut(col)) {
+                    *slot = ' ';
+                }
+            }
+            col += 1;
+        }
+    }
+    lines.into_iter().map(|l| l.into_iter().collect()).collect()
 }
 
 fn mark_code(has_code: &mut [bool], has_any: &mut [bool], t: &Token) {
@@ -611,10 +684,58 @@ mod tests {
                    fn c() { hit(); }\n";
         let f = SyntaxFile::parse(src);
         assert!(!f.in_test(0));
+        assert!(f.in_test(1), "the attribute line is test code");
         assert!(f.in_test(2));
         assert!(f.in_test(3));
-        assert!(f.in_test(4));
+        assert!(f.in_test(4), "the closing brace is test code");
         assert!(!f.in_test(5), "scanning resumes after the test mod");
+        assert_eq!(f.code_lines()[5], "fn c() { hit(); }");
+    }
+
+    #[test]
+    fn code_view_blanks_string_contents_and_strips_comments() {
+        let f = SyntaxFile::parse("let x = \"Instant::now()\"; // Instant::now()\n");
+        assert_eq!(f.code_lines()[0], "let x = \"              \"; ");
+        assert_eq!(f.line_comment(0), "Instant::now()");
+    }
+
+    #[test]
+    fn code_view_blanks_block_comments_across_lines() {
+        let f = SyntaxFile::parse("a /* panic!(\n.unwrap() */ b\n");
+        assert_eq!(f.code_lines()[0], format!("a{}", " ".repeat(11)));
+        assert_eq!(f.code_lines()[1], format!("{}b", " ".repeat(13)));
+    }
+
+    #[test]
+    fn code_view_blanks_raw_strings_whole() {
+        let f = SyntaxFile::parse("let s = r#\".unwrap() \"quoted\" \"#; x.y()\n");
+        let code = &f.code_lines()[0];
+        assert!(!code.contains("unwrap") && !code.contains('#') && !code.contains('"'));
+        assert_eq!(code.find("x.y()"), Some(34), "columns are preserved");
+    }
+
+    #[test]
+    fn code_view_keeps_lifetimes_and_blanks_char_and_byte_literals() {
+        let f = SyntaxFile::parse("fn f<'a>(x: &'a str) -> &'a str { x } // .unwrap()\n");
+        assert_eq!(f.code_lines()[0], "fn f<'a>(x: &'a str) -> &'a str { x } ");
+        let f = SyntaxFile::parse("let c = '\"'; let s = \"x.unwrap()\"; b'\\'' b\"y\"\n");
+        assert_eq!(f.code_lines()[0], "let c = ' '; let s = \"          \"; b'  ' b\" \"");
+        let f = SyntaxFile::parse("let s = \"a\\\\\"; x.unwrap()\n");
+        assert!(f.code_lines()[0].ends_with("; x.unwrap()"), "an escaped backslash closes");
+    }
+
+    #[test]
+    fn line_annotated_same_line_line_above_and_empty_reason() {
+        let src = "a.unwrap(); // invariant: index from enumerate\n\
+                   // invariant: static catalogue\n\
+                   b.unwrap();\n\
+                   c.unwrap(); // invariant:\n\
+                   d.unwrap(); // INVARIANT: upper case\n";
+        let f = SyntaxFile::parse(src);
+        assert!(f.line_annotated(0, "invariant:"));
+        assert!(f.line_annotated(2, "invariant:"), "comment-only line directly above");
+        assert!(!f.line_annotated(3, "invariant:"), "empty justification rejected");
+        assert!(!f.line_annotated(4, "invariant:"), "line tags are case-sensitive");
     }
 
     #[test]

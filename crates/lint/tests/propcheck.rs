@@ -1,25 +1,26 @@
-//! Property tests pitting the token lexer against the line scanner on the
-//! scanner's historical blind spots: nested block comments, raw identifiers
-//! (`r#type`), quote-bearing char literals (`'"'`, `'\''`), and raw strings
-//! with `#` fences.
+//! Property tests for the lexer and the line view projected from it, on
+//! the shapes a hand-written Rust scanner gets wrong: nested block comments,
+//! raw identifiers (`r#type`), quote-bearing char literals (`'"'`, `'\''`),
+//! and raw strings with `#` fences.
 //!
 //! Two properties over generated token soup:
 //!
 //! 1. **Round-trip** — `lex(render(lex(src)))` equals `lex(src)` on
 //!    `(kind, text)`. `render` is the lexer's own inverse up to whitespace,
 //!    so any lexing ambiguity shows up as a diff here.
-//! 2. **Comment-map agreement** — the scanner must classify every character
-//!    the same way the lexer does: comment/string marker words never leak
-//!    into blanked [`scan` code], plain code tokens survive at their exact
-//!    columns, and line-comment text matches char-for-char.
+//! 2. **Line-view agreement** — the per-line code view R1–R6 search
+//!    ([`SyntaxFile::code_lines`]) must classify every character the same
+//!    way the lexer does: comment/string marker words never leak into the
+//!    blanked code, plain code tokens survive at their exact columns, and
+//!    line-comment text lands in the line's comment map.
 
 use jarvis_lint::lexer::{lex, render, Token, TokenKind};
-use jarvis_lint::scan::scan_source;
+use jarvis_lint::SyntaxFile;
 use jarvis_stdkit::propcheck::{Config, Gen, TestResult};
 
 /// One well-formed fragment of token soup. Marker words encode intent:
 /// `cmark` only ever appears inside comments, `smark` only inside string or
-/// char literals — so neither may survive into the scanner's blanked code.
+/// char literals — so neither may survive into the blanked code view.
 fn fragment(g: &mut Gen) -> String {
     match g.u32_in(0, 13) {
         0 => format!("kmark{}", g.u32_in(0, 99)),
@@ -85,46 +86,41 @@ fn check_round_trip(src: &str, toks: &[Token]) -> TestResult {
 }
 
 fn check_agreement(src: &str, toks: &[Token]) -> TestResult {
-    let scanned = scan_source(src);
-    for (i, line) in scanned.lines.iter().enumerate() {
-        if line.code.contains("cmark") {
+    let file = SyntaxFile::parse(src);
+    let code = file.code_lines();
+    for (i, line) in code.iter().enumerate() {
+        if line.contains("cmark") {
             return Err(format!(
-                "comment text leaked into scanner code at line {i} of {src:?}: {:?}",
-                line.code
+                "comment text leaked into the code view at line {i} of {src:?}: {line:?}"
             ));
         }
-        if line.code.contains("smark") {
+        if line.contains("smark") {
             return Err(format!(
-                "string contents leaked into scanner code at line {i} of {src:?}: {:?}",
-                line.code
+                "string contents leaked into the code view at line {i} of {src:?}: {line:?}"
             ));
         }
     }
-    let code_lines: Vec<Vec<char>> =
-        scanned.lines.iter().map(|l| l.code.chars().collect()).collect();
     for t in toks {
         match t.kind {
             // Plain code must survive blanking at its exact column.
             TokenKind::Ident | TokenKind::Lifetime | TokenKind::Number | TokenKind::Punct => {
-                let line = code_lines.get(t.line).map_or(&[][..], Vec::as_slice);
-                let got: String =
-                    line.iter().skip(t.col).take(t.text.chars().count()).collect();
+                let line = code.get(t.line).map_or("", String::as_str);
+                let got: String = line.chars().skip(t.col).take(t.text.chars().count()).collect();
                 if got != t.text {
                     return Err(format!(
-                        "scanner lost {:?} token {:?} at {}:{} of {src:?} — code line is {:?}",
-                        t.kind, t.text, t.line, t.col, scanned.lines[t.line].code
+                        "code view lost {:?} token {:?} at {}:{} of {src:?} — code line is {line:?}",
+                        t.kind, t.text, t.line, t.col
                     ));
                 }
             }
-            // Line-comment text must land in the scanner's comment map,
-            // char-for-char after the leading slashes.
+            // Line-comment text must land in the line's comment map.
             TokenKind::LineComment => {
-                let body: String = t.text.chars().skip(2).collect();
-                let got = &scanned.lines[t.line].comment;
-                if *got != body {
+                let body = t.text.trim_start_matches('/').trim();
+                let got = file.line_comment(t.line);
+                if got != body {
                     return Err(format!(
-                        "scanner comment map disagrees at line {} of {src:?}: \
-                         lexer saw {body:?}, scanner saw {got:?}",
+                        "comment map disagrees at line {} of {src:?}: \
+                         lexer saw {body:?}, line view saw {got:?}",
                         t.line
                     ));
                 }
@@ -136,7 +132,7 @@ fn check_agreement(src: &str, toks: &[Token]) -> TestResult {
 }
 
 #[test]
-fn token_soup_round_trips_and_agrees_with_the_scanner() {
+fn token_soup_round_trips_and_agrees_with_the_line_view() {
     Config::with_cases(300).seed(0x4a52_5649_u64).run(|g: &mut Gen| {
         let src = soup(g);
         let toks = lex(&src);
@@ -145,14 +141,13 @@ fn token_soup_round_trips_and_agrees_with_the_scanner() {
     });
 }
 
-/// The same two properties over real workspace sources — the lexer and the
-/// scanner walk these files on every lint run, so they must agree on them.
+/// The same two properties over real workspace sources — every lint run
+/// reads these files through the lexer and its line view.
 #[test]
 fn real_sources_round_trip_and_agree() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     for rel in [
         "crates/lint/src/lexer.rs",
-        "crates/lint/src/scan.rs",
         "crates/lint/src/syntax.rs",
         "crates/lint/src/audit.rs",
         "crates/stdkit/src/sync.rs",

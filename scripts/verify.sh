@@ -69,10 +69,10 @@ if [ "${1:-}" = "--quick" ]; then
     exit 0
 fi
 
-# Static analysis first: determinism, wall-clock, panic-policy, float, and
-# hermeticity line rules plus the token-tree concurrency audit (unsafe,
-# atomic orderings, lock discipline, result discards) over every workspace
-# crate (crates/lint, DESIGN.md §12/§17).
+# Static analysis first, one lex-and-parse pass per file: the determinism,
+# wall-clock, panic-policy, float, and hermeticity rules plus the
+# concurrency audit (unsafe, atomic orderings, lock discipline, result
+# discards) over every workspace crate (crates/lint, DESIGN.md §12/§17).
 echo "==> jarvis-lint (R1-R10 over the whole workspace, 500ms budget)"
 build_lint
 ./target/release/jarvis-lint --budget-ms 500
