@@ -17,7 +17,8 @@
 //!   to keep this flat; the recorded `p99_ratio_gate` turns it into a
 //!   regression gate.
 //! * **Recovery time** — the same stream served through
-//!   [`ServingRuntime::serve_supervised`] with seeded panics injected; the
+//!   [`ServingRuntime::serve_online_supervised`] (no swap plan) with
+//!   seeded panics injected; the
 //!   supervisor's telemetry clock stamps each crash → first post-recovery
 //!   decision. The run doubles as the recovery-determinism gate: its
 //!   outcomes and snapshot bytes must be bitwise equal to the
@@ -32,10 +33,10 @@
 //!   path offline (every query answered by the SPL safe-table fallback);
 //!   the `degraded_ratio_gate` requires it to stay within 0.5× of healthy
 //!   serving.
-//! * **Swap latency** (v4) — the stall [`ServingRuntime::serve_online`]
-//!   inserts between stream segments when a scheduled policy swap fires
-//!   (agent rebuild from the stored checkpoint plus store bookkeeping),
-//!   measured on an empty segment so nothing else is timed. The gate
+//! * **Swap latency** (v4) — the cost a scheduled policy swap adds to a
+//!   [`ServingRuntime::serve_online`] call (agent rebuild from the stored
+//!   checkpoint plus store bookkeeping), measured on an empty stream so
+//!   nothing but the swap and the call's fixed overhead is timed. The gate
 //!   requires the median stall to fit inside **one batch window** of
 //!   events at the healthy serving rate: a hot-swap must never cost more
 //!   than the batching latency the runtime already budgets for.
@@ -186,9 +187,9 @@ struct RecoveryStats {
 /// injected, measuring throughput, recovery times, and bitwise recovery
 /// determinism against an uninterrupted oracle run.
 ///
-/// With `online` set, continual learning is on and the stream carries two
-/// policy swaps: the chaos run goes through `serve_online_supervised` and
-/// the oracle is `serve_online`. SPL folds then grow the safe tables
+/// The chaos run goes through `serve_online_supervised`. With `online` set,
+/// continual learning is on, the stream carries two policy swaps, and the
+/// oracle is `serve_online`. SPL folds then grow the safe tables
 /// between checkpoints, so recovery must restore each dirty home's
 /// pre-fold table from its checkpoint — the copy-on-write path.
 fn run_recovery(f: &Fixture, homes: u32, online: bool) -> (Measurement, RecoveryStats) {
@@ -232,12 +233,9 @@ fn run_recovery(f: &Fixture, homes: u32, online: bool) -> (Measurement, Recovery
     };
 
     let t0 = Instant::now();
-    let got = if online {
-        rt.serve_online_supervised(envelopes, &sup, Some(&chaos), &swaps)
-    } else {
-        rt.serve_supervised(envelopes, &sup, Some(&chaos))
-    }
-    .expect("supervised serve");
+    let got = rt
+        .serve_online_supervised(envelopes, &sup, Some(&chaos), &swaps)
+        .expect("supervised serve");
     let secs = t0.elapsed().as_secs_f64();
 
     let deterministic = want.outcomes == got.report.outcomes
@@ -273,7 +271,7 @@ fn run_degraded(f: &Fixture, homes: u32) -> Measurement {
     sup.policy_offline = true;
 
     let t0 = Instant::now();
-    let report = rt.serve_supervised(envelopes, &sup, None).expect("degraded serve");
+    let report = rt.serve_online_supervised(envelopes, &sup, None, &[]).expect("degraded serve");
     let secs = t0.elapsed().as_secs_f64();
     assert_eq!(report.report.outcomes.len(), events, "no event may be lost");
     assert!(report.recovery.fallback_decisions > 0, "degraded mode must answer by fallback");
@@ -286,8 +284,8 @@ fn run_degraded(f: &Fixture, homes: u32) -> Measurement {
     }
 }
 
-/// Swap-latency telemetry: the stall `serve_online` inserts between
-/// stream segments when a scheduled swap fires.
+/// Swap-latency telemetry: the cost one scheduled swap adds to a
+/// `serve_online` call.
 struct SwapStats {
     /// Median per-swap stall, wall-clock ns.
     stall_p50_ns: u64,
@@ -314,8 +312,9 @@ fn online_rt(f: &Fixture, homes: u32, shards: usize) -> (ServingRuntime, u64) {
 }
 
 /// Measure the per-swap stall in isolation: `serve_online` on an empty
-/// segment does exactly the swap work (validate, rebuild the agent from
-/// the stored checkpoint, record the swap) and nothing else. The gate
+/// stream does exactly the swap work (validate, rebuild the agent from
+/// the stored checkpoint, record the swap) plus the call's fixed
+/// placement and partitioning overhead, and nothing else. The gate
 /// budget is one batch window of events at the healthy serving rate —
 /// a hot-swap may cost at most the batching latency already budgeted.
 fn run_swap(f: &Fixture, healthy_rate: f64) -> (Measurement, SwapStats) {
@@ -324,7 +323,7 @@ fn run_swap(f: &Fixture, healthy_rate: f64) -> (Measurement, SwapStats) {
     for i in 0..32u64 {
         let plan = [SwapPoint { at_seq: i, version }];
         let t0 = Instant::now();
-        rt.serve_online(Vec::new(), &plan).expect("swap on empty segment");
+        rt.serve_online(Vec::new(), &plan).expect("swap on an empty stream");
         stalls_ns.push(t0.elapsed().as_nanos() as u64);
     }
     stalls_ns.sort_unstable();

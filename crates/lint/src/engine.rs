@@ -33,6 +33,11 @@ pub struct LintReport {
     /// Cumulative per-rule check time across every file, in [`Rule::ALL`]
     /// order (only rules that ran appear).
     pub timings: Vec<(Rule, Duration)>,
+    /// Cumulative lex + parse time across every source file.
+    pub parse: Duration,
+    /// Wall time of the whole walk — collecting, reading, parsing and
+    /// checking every file. This is the figure `--budget-ms` gates.
+    pub walk: Duration,
     /// Number of files scanned.
     pub files: usize,
 }
@@ -57,6 +62,8 @@ pub fn lint_workspace(root: &Path, opts: &Options) -> io::Result<Vec<Violation>>
 ///
 /// Returns an error when the tree cannot be read.
 pub fn lint_workspace_report(root: &Path, opts: &Options) -> io::Result<LintReport> {
+    // wall-clock-ok: lint self-timing for the verify.sh gate
+    let started = std::time::Instant::now();
     let mut files = Vec::new();
     if opts.quick {
         collect(&root.join("crates"), root, &mut files)?;
@@ -67,7 +74,9 @@ pub fn lint_workspace_report(root: &Path, opts: &Options) -> io::Result<LintRepo
     } else {
         collect(root, root, &mut files)?;
     }
-    lint_files(root, &files, opts, false)
+    let mut report = lint_files(root, &files, opts, false)?;
+    report.walk = started.elapsed();
+    Ok(report)
 }
 
 /// Lint explicit paths (files are linted unconditionally with every
@@ -91,6 +100,8 @@ pub fn lint_paths_report(
     paths: &[PathBuf],
     opts: &Options,
 ) -> io::Result<LintReport> {
+    // wall-clock-ok: lint self-timing for the verify.sh gate
+    let started = std::time::Instant::now();
     let mut walked = Vec::new();
     let mut explicit = Vec::new();
     for p in paths {
@@ -107,12 +118,14 @@ pub fn lint_paths_report(
     report.violations.sort();
     report.violations.dedup();
     report.files += extra.files;
+    report.parse += extra.parse;
     for (rule, d) in extra.timings {
         match report.timings.iter_mut().find(|(r, _)| *r == rule) {
             Some((_, total)) => *total += d,
             None => report.timings.push((rule, d)),
         }
     }
+    report.walk = started.elapsed();
     Ok(report)
 }
 
@@ -168,6 +181,7 @@ fn lint_files(
     explicit: bool,
 ) -> io::Result<LintReport> {
     let mut out = Vec::new();
+    let mut parse = Duration::ZERO;
     let mut timings: Vec<(Rule, Duration)> =
         opts.rules.iter().map(|&r| (r, Duration::ZERO)).collect();
     let mut spent = |rule: Rule, d: Duration| {
@@ -191,7 +205,10 @@ fn lint_files(
             continue;
         }
         // One lex and parse per file, shared by every source rule.
+        // wall-clock-ok: lint self-timing for the verify.sh gate
+        let t0 = std::time::Instant::now();
         let syntax = SyntaxFile::parse(&text);
+        parse += t0.elapsed();
         for &rule in &opts.rules {
             if rule == Rule::Hermeticity {
                 continue;
@@ -206,7 +223,7 @@ fn lint_files(
     }
     out.sort();
     timings.retain(|(_, d)| !d.is_zero());
-    Ok(LintReport { violations: out, timings, files: files.len() })
+    Ok(LintReport { violations: out, timings, parse, walk: Duration::ZERO, files: files.len() })
 }
 
 /// Locate the workspace root: walk up from `start` to the first directory
@@ -251,5 +268,9 @@ mod tests {
         let report = lint_workspace_report(&root, &opts).expect("walk");
         assert!(report.files > 0);
         assert!(report.timings.iter().any(|(r, _)| *r == Rule::UnsafeAudit));
+        // The walk total covers the parse and every rule check.
+        let checks: Duration = report.timings.iter().map(|(_, d)| *d).sum();
+        assert!(report.parse > Duration::ZERO);
+        assert!(report.walk >= report.parse + checks);
     }
 }

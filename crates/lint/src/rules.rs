@@ -211,9 +211,11 @@ pub fn check_source(rule: Rule, rel_path: &str, file: &SyntaxFile) -> Vec<Violat
 // R1: nondeterministic iteration
 // ---------------------------------------------------------------------------
 
-/// Methods that iterate a hash collection in storage order.
-const ITER_METHODS: [&str; 8] = [
-    "iter", "iter_mut", "keys", "values", "values_mut", "drain", "into_iter", "retain",
+/// Calls of the methods that iterate a hash collection in storage order,
+/// as the `.method(` needles R1 searches each line for.
+const ITER_NEEDLES: [&str; 8] = [
+    ".iter(", ".iter_mut(", ".keys(", ".values(", ".values_mut(", ".drain(", ".into_iter(",
+    ".retain(",
 ];
 
 fn check_nondet_iter(rel_path: &str, file: &SyntaxFile) -> Vec<Violation> {
@@ -224,11 +226,10 @@ fn check_nondet_iter(rel_path: &str, file: &SyntaxFile) -> Vec<Violation> {
         if file.in_test(idx) {
             continue;
         }
-        let mut hit: Option<(String, String)> = None; // (ident, method)
-        for m in &ITER_METHODS {
-            let pat = format!(".{m}(");
+        let mut hit: Option<(String, &str)> = None; // (ident, method)
+        for pat in ITER_NEEDLES {
             let mut from = 0;
-            while let Some(pos) = code[from..].find(&pat) {
+            while let Some(pos) = code[from..].find(pat) {
                 let at = from + pos;
                 // The receiver is the last path segment before the `.`
                 // (`self.watts.iter()` → `watts`).
@@ -250,7 +251,7 @@ fn check_nondet_iter(rel_path: &str, file: &SyntaxFile) -> Vec<Violation> {
                 });
                 if let Some(recv) = recv {
                     if idents.contains(&recv) {
-                        hit = Some((recv, (*m).to_string()));
+                        hit = Some((recv, &pat[1..pat.len() - 1]));
                         break;
                     }
                 }
@@ -264,7 +265,7 @@ fn check_nondet_iter(rel_path: &str, file: &SyntaxFile) -> Vec<Violation> {
             // `for x in &map { ... }` / `for x in map {`
             if let Some(ident) = for_loop_over(code) {
                 if idents.contains(&ident) {
-                    hit = Some((ident, "for-in".to_string()));
+                    hit = Some((ident, "for-in"));
                 }
             }
         }

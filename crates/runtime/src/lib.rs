@@ -26,6 +26,16 @@
 //!   *steals* batches from its siblings in a fixed victim order, so one
 //!   hot shard's inference backlog drains across the whole pool.
 //!
+//! **Entry points.** [`ServingRuntime::serve`] serves a stream;
+//! [`ServingRuntime::serve_online`] adds a scheduled policy-swap plan
+//! ([`SwapPoint`]s); [`ServingRuntime::serve_online_supervised`] serves
+//! under WAL-backed supervision with optional chaos injection (pass `&[]`
+//! for no swaps). All three run one serve core over the same shard loops,
+//! and every loop shares one epoch mechanism: a swap takes effect at its
+//! `at_seq` — the batching window closes at the epoch boundary and each
+//! closed batch carries its epoch, so whichever worker executes it answers
+//! under the right policy.
+//!
 //! **Determinism contract.** The batched forward is bit-identical per row
 //! to a single-row forward, every event of one home is processed in global
 //! sequence order whatever the shard count, and decisions draw no

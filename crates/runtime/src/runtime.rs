@@ -4,11 +4,9 @@
 use crate::event::{Envelope, EventKind, Outcome, OverloadPolicy, Rejection};
 use crate::online::{FineTuneConfig, FineTuneReport, OnlineConfig};
 use crate::policy_store::{PolicyStore, ShadowGates, ShadowRow, SwapPoint, SwapRecord};
-use crate::shard::{self, Job, PolicyView, ShardOutput, WorkerShared};
+use crate::shard::{self, Job, PolicyView, Roster, ShardOutput, Window, WorkerShared};
 use crate::slot::{HomeSlot, HomeSnapshot};
-use crate::supervisor::{
-    RecoveryReport, Roster, ShardSupervisor, SupervisedReport, SupervisorConfig,
-};
+use crate::supervisor::{RecoveryReport, ShardSupervisor, SupervisedReport, SupervisorConfig};
 use crate::wal::ShardWal;
 use jarvis::{JarvisError, OptimizerCheckpoint};
 use jarvis_policy::{MatchMode, SafeTransitionTable};
@@ -56,7 +54,11 @@ pub struct RuntimeConfig {
     /// configured value.
     pub queue_capacity: usize,
     /// Maximum queries parked before a batched forward is forced. 1 =
-    /// per-query single-row inference.
+    /// per-query single-row inference. In threaded mode a window also
+    /// closes as soon as the shard's ingest ring runs dry, which keeps tail
+    /// latency flat when a shard's share of the stream arrives slower than
+    /// `batch_window` events at a time. Batch boundaries cannot change any
+    /// decision: they only group pure per-row forwards.
     pub batch_window: usize,
     /// What the router does when a shard's ingest ring is full (threaded
     /// mode).
@@ -75,13 +77,6 @@ pub struct RuntimeConfig {
     pub worker_throttle_ns: u64,
     /// How homes are placed onto shards. Default: [`Placement::LoadAware`].
     pub placement: Placement,
-    /// Close a batch as soon as the shard's ingest ring runs dry instead of
-    /// holding parked queries until the window fills (threaded mode only;
-    /// the deterministic path has no queue to drain). Default `true` — this
-    /// is what keeps tail latency flat when a shard's share of the stream
-    /// arrives slower than `batch_window` events at a time. Cannot change
-    /// any decision: batch boundaries only group pure per-row forwards.
-    pub adaptive_batching: bool,
     /// Stride of the fixed steal schedule: shard `i` tries victims `i +
     /// stride`, `i + 2·stride`, … (mod `shards`). 1 = ring order. The
     /// schedule permutes who steals from whom first; outputs are invariant
@@ -98,7 +93,7 @@ pub struct RuntimeConfig {
 impl RuntimeConfig {
     /// Defaults: `queue_capacity` 256, `batch_window` 16, blocking
     /// backpressure, threaded execution, exact-match monitoring,
-    /// load-aware placement, adaptive batching, steal stride 1.
+    /// load-aware placement, steal stride 1.
     #[must_use]
     pub fn new(shards: usize) -> Self {
         RuntimeConfig {
@@ -110,7 +105,6 @@ impl RuntimeConfig {
             match_mode: MatchMode::Exact,
             worker_throttle_ns: 0,
             placement: Placement::LoadAware,
-            adaptive_batching: true,
             steal_stride: 1,
             telemetry: None,
         }
@@ -702,14 +696,160 @@ impl ServingRuntime {
     /// unregistered homes, and model/neural errors from the slots or the
     /// policy network.
     pub fn serve(&mut self, events: Vec<Envelope>) -> Result<ServeReport, JarvisError> {
+        Ok(self.serve_core(events, &[], None)?.report)
+    }
+
+    /// Serve a stream with a scheduled mid-stream policy swap plan:
+    /// `swaps[k]` activates its version for every envelope with `seq >=
+    /// at_seq` (see [`SwapPoint`]). The stream is served in seq order, in
+    /// one call over the same shard loops as [`ServingRuntime::serve`]:
+    /// each swap takes effect at its `at_seq` inside every loop, and a
+    /// batching window never spans a swap. After the call every scheduled
+    /// swap is recorded in the store — even when the stream ends early, the
+    /// plan is a commitment, not a hint — and the last swap's version is
+    /// the active policy. An empty plan needs no online learning.
+    ///
+    /// The swap schedule is part of the determinism contract: the same
+    /// `(stream, swaps)` pair reproduces outcomes bitwise across shard
+    /// counts, steal schedules, and serving modes.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`ServingRuntime::serve`] returns, plus
+    /// [`JarvisError::Config`] when a non-empty plan is given without
+    /// online learning, or the plan is unordered / names unknown versions.
+    pub fn serve_online(
+        &mut self,
+        mut events: Vec<Envelope>,
+        swaps: &[SwapPoint],
+    ) -> Result<ServeReport, JarvisError> {
+        events.sort_by_key(|env| env.seq);
+        Ok(self.serve_core(events, swaps, None)?.report)
+    }
+
+    /// Serve a stream under supervision, with an optional scheduled
+    /// mid-stream policy swap plan (as in [`ServingRuntime::serve_online`];
+    /// pass `&[]` for none): every shard runs inside a `catch_unwind` panic
+    /// boundary with a write-ahead log, and failures — worker panics or
+    /// deadline-overrunning stalls, optionally injected by a
+    /// [`ChaosSchedule`] — are recovered by restoring the shard's last WAL
+    /// checkpoint, replaying the logged suffix, and retrying, with seeded
+    /// exponential backoff in virtual ticks (see [`SupervisorConfig`] and
+    /// DESIGN.md §15). Shards log a WAL swap record as they cross each
+    /// swap, so crash recovery replays every envelope under the policy that
+    /// first served it and lands on the same active version.
+    ///
+    /// Recovery is deterministic: with a transient chaos plan (attempt
+    /// counts below the quarantine threshold) the supervised run's
+    /// outcomes, snapshot bytes, and rejection/quarantine accounting are
+    /// bitwise identical to an uninterrupted [`ServingRuntime::serve_online`]
+    /// in deterministic mode. Poison pills and exhausted restart budgets
+    /// degrade to safe-table-only serving
+    /// ([`DecisionSource::SafeTableFallback`](crate::DecisionSource)) —
+    /// enforcement never lapses.
+    ///
+    /// In deterministic mode shards run sequentially on the caller's
+    /// thread; otherwise each shard owns one scoped supervised worker.
+    /// Both modes are bitwise identical (shards are independent here —
+    /// supervised serving uses no ingest rings, so `rejected` is always
+    /// empty and no queue bound applies).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`JarvisError::Config`] for invalid supervisor settings,
+    /// events targeting unregistered homes, a shard that fails again after
+    /// exhausting its restart budget, or a swap plan
+    /// [`ServingRuntime::serve_online`] refuses, plus model/neural errors
+    /// from the slots or the policy network.
+    pub fn serve_online_supervised(
+        &mut self,
+        events: Vec<Envelope>,
+        sup: &SupervisorConfig,
+        chaos: Option<&ChaosSchedule>,
+        swaps: &[SwapPoint],
+    ) -> Result<SupervisedReport, JarvisError> {
+        sup.validate()?;
+        self.serve_core(events, swaps, Some((sup, chaos)))
+    }
+
+    /// The one serve core under every entry point: validate the swap plan,
+    /// rebalance placement, build the epoch roster, partition homes and
+    /// streams by shard, run one shard executor — the sequential loop, the
+    /// work-stealing workers, or the supervisors — reassemble the homes on
+    /// every exit path, merge the outcomes by seq, fold the shadow score,
+    /// and commit the swap plan.
+    fn serve_core(
+        &mut self,
+        events: Vec<Envelope>,
+        swaps: &[SwapPoint],
+        supervision: Option<(&SupervisorConfig, Option<&ChaosSchedule>)>,
+    ) -> Result<SupervisedReport, JarvisError> {
+        let swapped_in = self.swap_agents(swaps)?;
         self.rebalance(&events);
-        let submitted = events.len();
         let shadow = self.shadow_agent()?;
-        let (outputs, rejected) = if self.config.deterministic {
-            (self.serve_deterministic(events, shadow.as_ref())?, Vec::new())
-        } else {
-            self.serve_threaded(events, shadow.as_ref())?
+        let shadow = shadow.as_ref();
+        // The active agent serves epoch 0 by reference; the quantized
+        // deployment belongs to it alone — swapped-in epochs serve f64
+        // until re-quantized and re-gated explicitly.
+        let mut views = vec![PolicyView {
+            policy: &self.policy,
+            quantized: self.quantized.as_ref(),
+            shadow,
+        }];
+        views.extend(
+            swapped_in.iter().map(|policy| PolicyView { policy, quantized: None, shadow }),
+        );
+        let roster = Roster {
+            views,
+            swaps,
+            batch_window: self.config.batch_window,
+            clock: self.config.telemetry,
         };
+
+        let shards = self.config.shards;
+        let submitted = events.len();
+        let route: Vec<usize> = events.iter().map(|env| self.shard_of(env.home)).collect();
+        // Every home starts in shard 0's part — moving the map, not its
+        // slots — and only the homes placed elsewhere move out.
+        let mut parts: Vec<BTreeMap<u64, HomeSlot>> =
+            (0..shards).map(|_| BTreeMap::new()).collect();
+        parts[0] = std::mem::take(&mut self.homes);
+        let movers: Vec<(u64, usize)> = parts[0]
+            .keys()
+            .map(|&id| (id, self.shard_of(id)))
+            .filter(|&(_, shard)| shard != 0)
+            .collect();
+        for (id, shard) in movers {
+            if let Some(slot) = parts[0].remove(&id) {
+                parts[shard].insert(id, slot);
+            }
+        }
+        let split = |events: Vec<Envelope>| {
+            let mut streams: Vec<Vec<Envelope>> = (0..shards).map(|_| Vec::new()).collect();
+            for (env, &shard) in events.into_iter().zip(&route) {
+                streams[shard].push(env);
+            }
+            streams
+        };
+        let served = match supervision {
+            Some((sup, chaos)) => run_supervised(
+                &mut parts,
+                &roster,
+                split(events),
+                sup,
+                chaos,
+                self.config.deterministic,
+            ),
+            None if self.config.deterministic => run_sequential(&mut parts, &roster, split(events)),
+            None => run_stealing(&mut parts, &roster, events, &route, &self.config),
+        };
+        // Reassemble home ownership before surfacing any error, so the
+        // runtime stays usable after a failed serve or an overload abort.
+        for mut part in parts {
+            self.homes.append(&mut part);
+        }
+
+        let Served { outputs, rejected, recovery, wals } = served?;
         let mut outcomes = Vec::with_capacity(submitted);
         let mut latencies_ns = Vec::new();
         let mut shadow_rows: Vec<ShadowRow> = Vec::new();
@@ -720,7 +860,12 @@ impl ServingRuntime {
         }
         outcomes.sort_by_key(Outcome::seq);
         self.absorb_shadow(shadow_rows);
-        Ok(ServeReport { outcomes, rejected, latencies_ns })
+        self.commit_swaps(swaps, swapped_in)?;
+        Ok(SupervisedReport {
+            report: ServeReport { outcomes, rejected, latencies_ns },
+            recovery,
+            wals,
+        })
     }
 
     /// Materialize the staged candidate as a shadow agent, when one is
@@ -747,289 +892,51 @@ impl ServingRuntime {
         }
     }
 
-    /// Serve a stream under supervision: every shard runs inside a
-    /// `catch_unwind` panic boundary with a write-ahead log, and failures —
-    /// worker panics or deadline-overrunning stalls, optionally injected by
-    /// a [`ChaosSchedule`] — are recovered by restoring the shard's last
-    /// WAL checkpoint, replaying the logged suffix, and retrying, with
-    /// seeded exponential backoff in virtual ticks (see
-    /// [`SupervisorConfig`] and DESIGN.md §15).
-    ///
-    /// Recovery is deterministic: with a transient chaos plan (attempt
-    /// counts below the quarantine threshold) the supervised run's
-    /// outcomes, snapshot bytes, and rejection/quarantine accounting are
-    /// bitwise identical to an uninterrupted [`ServingRuntime::serve`] in
-    /// deterministic mode. Poison pills and exhausted restart budgets
-    /// degrade to safe-table-only serving
-    /// ([`DecisionSource::SafeTableFallback`](crate::DecisionSource)) —
-    /// enforcement never lapses.
-    ///
-    /// In deterministic mode shards run sequentially on the caller's
-    /// thread; otherwise each shard owns one scoped supervised worker.
-    /// Both modes are bitwise identical (shards are independent here —
-    /// supervised serving uses no ingest rings, so `rejected` is always
-    /// empty and no queue bound applies).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JarvisError::Config`] for invalid supervisor settings,
-    /// events targeting unregistered homes, or a shard that fails again
-    /// after exhausting its restart budget, plus model/neural errors from
-    /// the slots or the policy network.
-    pub fn serve_supervised(
-        &mut self,
-        events: Vec<Envelope>,
-        sup: &SupervisorConfig,
-        chaos: Option<&ChaosSchedule>,
-    ) -> Result<SupervisedReport, JarvisError> {
-        let shadow = self.shadow_agent()?;
-        let active = self.policy.clone();
-        self.serve_supervised_epochs(events, sup, chaos, &[], &[active], shadow.as_ref())
-    }
-
-    /// Serve a stream under supervision with a scheduled mid-stream policy
-    /// swap plan: `swaps[k]` activates its version for every envelope with
-    /// `seq >= at_seq` (see [`SwapPoint`]). Shards flush their batching
-    /// window at epoch boundaries — a batch never spans a swap — and log a
-    /// WAL swap record, so crash recovery replays every envelope under the
-    /// policy that first served it and lands on the same active version.
-    /// After the call, the last swap's version is the runtime's active
-    /// policy and the store records every swap.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`ServingRuntime::serve_supervised`] returns, plus
-    /// [`JarvisError::Config`] when online learning is not enabled or the
-    /// swap plan is unordered / names unknown versions.
-    pub fn serve_online_supervised(
-        &mut self,
-        events: Vec<Envelope>,
-        sup: &SupervisorConfig,
-        chaos: Option<&ChaosSchedule>,
-        swaps: &[SwapPoint],
-    ) -> Result<SupervisedReport, JarvisError> {
-        self.validate_swaps(swaps)?;
-        // invariant: validate_swaps errored already if the store is missing
-        let store = self.store.as_ref().expect("validate_swaps checked the store");
-        let mut epoch_agents = Vec::with_capacity(swaps.len() + 1);
-        epoch_agents.push(self.policy.clone());
-        for sp in swaps {
-            // invariant: validate_swaps checked every plan version exists
-            let version = store.version(sp.version).expect("validate_swaps checked versions");
-            epoch_agents.push(DqnAgent::from_checkpoint(version.checkpoint.clone())?);
+    /// Check a swap plan — `at_seq` strictly increasing, every version
+    /// registered, online learning enabled unless the plan is empty — and
+    /// rebuild the agent of every swapped-in epoch from the stored bytes.
+    fn swap_agents(&self, swaps: &[SwapPoint]) -> Result<Vec<DqnAgent>, JarvisError> {
+        if swaps.is_empty() {
+            return Ok(Vec::new());
         }
-        let shadow = self.shadow_agent()?;
-        let report =
-            self.serve_supervised_epochs(events, sup, chaos, swaps, &epoch_agents, shadow.as_ref())?;
-        self.commit_swaps(swaps, epoch_agents)?;
-        Ok(report)
-    }
-
-    /// The shared supervised-serving core: one epoch per entry of
-    /// `epoch_agents` (`swaps.len() + 1` of them; `epoch_agents[0]` is the
-    /// policy active at entry, later entries the swapped-in versions).
-    fn serve_supervised_epochs(
-        &mut self,
-        events: Vec<Envelope>,
-        sup: &SupervisorConfig,
-        chaos: Option<&ChaosSchedule>,
-        swaps: &[SwapPoint],
-        epoch_agents: &[DqnAgent],
-        shadow: Option<&DqnAgent>,
-    ) -> Result<SupervisedReport, JarvisError> {
-        sup.validate()?;
-        self.rebalance(&events);
-        let shards = self.config.shards;
-        let submitted = events.len();
-        let mut streams: Vec<Vec<Envelope>> = (0..shards).map(|_| Vec::new()).collect();
-        for env in events {
-            let shard = self.shard_of(env.home);
-            streams[shard].push(env);
-        }
-        let mut parts: Vec<BTreeMap<u64, HomeSlot>> =
-            (0..shards).map(|_| BTreeMap::new()).collect();
-        for (id, slot) in std::mem::take(&mut self.homes) {
-            let shard = self.shard_of(id);
-            parts[shard].insert(id, slot);
-        }
-
-        // The quantized deployment belongs to the entry policy; swapped-in
-        // epochs serve f64 until re-quantized and re-gated explicitly.
-        let quantized = self.quantized.as_ref();
-        let views: Vec<PolicyView<'_>> = epoch_agents
-            .iter()
-            .enumerate()
-            .map(|(k, agent)| {
-                PolicyView::new(agent, if k == 0 { quantized } else { None }, shadow)
-            })
-            .collect();
-        let roster = Roster { views, swaps };
-        let roster = &roster;
-        let batch_window = self.config.batch_window;
-        let clock = self.config.telemetry;
-        let mut results: Vec<Result<(ShardOutput, RecoveryReport, ShardWal), JarvisError>> =
-            Vec::with_capacity(shards);
-
-        if self.config.deterministic {
-            for (idx, (part, stream)) in parts.iter_mut().zip(streams).enumerate() {
-                results.push(
-                    ShardSupervisor::new(idx, sup, chaos)
-                        .run(part, roster, batch_window, clock, stream),
-                );
-            }
-        } else {
-            std::thread::scope(|s| {
-                let mut handles = Vec::with_capacity(shards);
-                for (idx, (part, stream)) in parts.iter_mut().zip(streams).enumerate() {
-                    handles.push(s.spawn(move || {
-                        ShardSupervisor::new(idx, sup, chaos)
-                            .run(part, roster, batch_window, clock, stream)
-                    }));
-                }
-                for handle in handles {
-                    results.push(handle.join().unwrap_or_else(|_| {
-                        Err(JarvisError::Config(
-                            "a supervised shard worker died outside its panic boundary".into(),
-                        ))
-                    }));
-                }
-            });
-        }
-
-        // Reassemble home ownership before surfacing any error, so the
-        // runtime stays usable after a failed supervised serve.
-        for part in parts {
-            self.homes.extend(part);
-        }
-        let mut outcomes = Vec::with_capacity(submitted);
-        let mut latencies_ns = Vec::new();
-        let mut shadow_rows: Vec<ShadowRow> = Vec::new();
-        let mut recovery = RecoveryReport::default();
-        let mut wals = Vec::with_capacity(shards);
-        for result in results {
-            let (output, shard_recovery, wal) = result?;
-            outcomes.extend(output.outcomes);
-            latencies_ns.extend(output.latencies_ns);
-            shadow_rows.extend(output.shadow);
-            recovery.absorb(shard_recovery);
-            wals.push(wal);
-        }
-        outcomes.sort_by_key(Outcome::seq);
-        self.absorb_shadow(shadow_rows);
-        Ok(SupervisedReport {
-            report: ServeReport { outcomes, rejected: Vec::new(), latencies_ns },
-            recovery,
-            wals,
-        })
-    }
-
-    /// Serve a stream with a scheduled mid-stream policy swap plan:
-    /// `swaps[k]` activates its version for every envelope with `seq >=
-    /// at_seq`. The stream is split at each swap point and served segment by
-    /// segment, so a batching window never spans a swap; each applied swap
-    /// is recorded in the store. Every scheduled swap is applied even when
-    /// the stream ends early — the plan is a commitment, not a hint — and
-    /// after the call the last swap's version is the active policy.
-    ///
-    /// The swap schedule is part of the determinism contract: the same
-    /// `(stream, swaps)` pair reproduces outcomes bitwise across shard
-    /// counts, steal schedules, and serving modes.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`ServingRuntime::serve`] returns, plus
-    /// [`JarvisError::Config`] when online learning is not enabled or the
-    /// swap plan is unordered / names unknown versions.
-    pub fn serve_online(
-        &mut self,
-        events: Vec<Envelope>,
-        swaps: &[SwapPoint],
-    ) -> Result<ServeReport, JarvisError> {
-        self.validate_swaps(swaps)?;
-        let mut remaining = events;
-        remaining.sort_by_key(|env| env.seq);
-        let mut report =
-            ServeReport { outcomes: Vec::new(), rejected: Vec::new(), latencies_ns: Vec::new() };
-        let absorb = |report: &mut ServeReport, part: ServeReport| {
-            report.outcomes.extend(part.outcomes);
-            report.rejected.extend(part.rejected);
-            report.latencies_ns.extend(part.latencies_ns);
-        };
-        for sp in swaps {
-            let cut = remaining.partition_point(|env| env.seq < sp.at_seq);
-            let tail = remaining.split_off(cut);
-            let head = std::mem::replace(&mut remaining, tail);
-            if !head.is_empty() {
-                let part = self.serve(head)?;
-                absorb(&mut report, part);
-            }
-            self.apply_swap(*sp)?;
-        }
-        if !remaining.is_empty() {
-            let part = self.serve(remaining)?;
-            absorb(&mut report, part);
-        }
-        report.outcomes.sort_by_key(Outcome::seq);
-        Ok(report)
-    }
-
-    /// Check a swap plan: online learning enabled, `at_seq` strictly
-    /// increasing, every version registered.
-    fn validate_swaps(&self, swaps: &[SwapPoint]) -> Result<(), JarvisError> {
         let Some(store) = &self.store else {
             return Err(JarvisError::Config(
                 "scheduled policy swaps need online learning enabled (enable_online)".into(),
             ));
         };
-        let mut last: Option<u64> = None;
-        for sp in swaps {
-            if store.version(sp.version).is_none() {
+        let mut agents = Vec::with_capacity(swaps.len());
+        for (k, sp) in swaps.iter().enumerate() {
+            let Some(version) = store.version(sp.version) else {
                 return Err(JarvisError::Config(format!(
                     "swap plan names unregistered policy version {}",
                     sp.version
                 )));
-            }
-            if last.is_some_and(|prev| sp.at_seq <= prev) {
+            };
+            if k > 0 && sp.at_seq <= swaps[k - 1].at_seq {
                 return Err(JarvisError::Config(
                     "swap plan must be strictly increasing in at_seq".into(),
                 ));
             }
-            last = Some(sp.at_seq);
+            agents.push(DqnAgent::from_checkpoint(version.checkpoint.clone())?);
         }
-        Ok(())
+        Ok(agents)
     }
 
-    /// Activate one scheduled swap: rebuild the agent from the stored
-    /// bytes, record the swap, drop the (old-weights) quantized deployment.
-    fn apply_swap(&mut self, sp: SwapPoint) -> Result<(), JarvisError> {
-        // invariant: validate_swaps errored already if the store is missing
-        let store = self.store.as_mut().expect("validate_swaps checked the store");
-        // invariant: validate_swaps checked every plan version exists
-        let version = store.version(sp.version).expect("validate_swaps checked versions");
-        let agent = DqnAgent::from_checkpoint(version.checkpoint.clone())?;
-        store.force_swap(sp.at_seq, sp.version)?;
-        self.policy = agent;
-        self.quantized = None;
-        Ok(())
-    }
-
-    /// Record an already-executed supervised swap plan in the store and
-    /// install the final epoch's policy as active.
+    /// Record an executed swap plan in the store and install the final
+    /// epoch's policy as active, dropping the (old-weights) quantized
+    /// deployment.
     fn commit_swaps(
         &mut self,
         swaps: &[SwapPoint],
-        mut epoch_agents: Vec<DqnAgent>,
+        mut swapped_in: Vec<DqnAgent>,
     ) -> Result<(), JarvisError> {
-        if swaps.is_empty() {
-            return Ok(());
-        }
-        // invariant: validate_swaps errored already if the store is missing
-        let store = self.store.as_mut().expect("validate_swaps checked the store");
+        let Some(last) = swapped_in.pop() else { return Ok(()) };
+        // invariant: swap_agents errored already if the store is missing
+        let store = self.store.as_mut().expect("swap_agents checked the store");
         for sp in swaps {
             store.force_swap(sp.at_seq, sp.version)?;
         }
-        // invariant: callers pass swaps.len() + 1 epoch agents, never zero
-        self.policy = epoch_agents.pop().expect("one agent per epoch");
+        self.policy = last;
         self.quantized = None;
         Ok(())
     }
@@ -1162,150 +1069,6 @@ impl ServingRuntime {
         Ok(Some(record))
     }
 
-    /// Sequential reference execution: same shard partitioning, no threads,
-    /// no queue bounds — the bit-exact baseline for any shard count and any
-    /// steal schedule.
-    fn serve_deterministic(
-        &mut self,
-        events: Vec<Envelope>,
-        shadow: Option<&DqnAgent>,
-    ) -> Result<Vec<ShardOutput>, JarvisError> {
-        let shards = self.config.shards;
-        let mut streams: Vec<Vec<Envelope>> = (0..shards).map(|_| Vec::new()).collect();
-        for env in events {
-            let shard = self.shard_of(env.home);
-            streams[shard].push(env);
-        }
-        let view = PolicyView::new(&self.policy, self.quantized.as_ref(), shadow);
-        let mut outputs = Vec::with_capacity(shards);
-        for stream in streams {
-            // The full slot map is passed through: shard routing already
-            // confined each stream to the homes that shard owns.
-            outputs.push(shard::process_sequential(
-                &mut self.homes,
-                view,
-                self.config.batch_window,
-                self.config.telemetry,
-                stream.into_iter(),
-            )?);
-        }
-        Ok(outputs)
-    }
-
-    /// Threaded work-stealing execution: one scoped worker per shard behind
-    /// a lock-free bounded ingest ring; the router applies the overload
-    /// policy; closed inference batches are published on per-shard run
-    /// queues that idle siblings steal from in a fixed victim order.
-    fn serve_threaded(
-        &mut self,
-        events: Vec<Envelope>,
-        shadow: Option<&DqnAgent>,
-    ) -> Result<(Vec<ShardOutput>, Vec<Rejection>), JarvisError> {
-        let shards = self.config.shards;
-        let route: Vec<usize> = events.iter().map(|env| self.shard_of(env.home)).collect();
-        let mut parts: Vec<BTreeMap<u64, HomeSlot>> = (0..shards).map(|_| BTreeMap::new()).collect();
-        for (id, slot) in std::mem::take(&mut self.homes) {
-            let shard = self.shard_of(id);
-            parts[shard].insert(id, slot);
-        }
-
-        let view = PolicyView::new(&self.policy, self.quantized.as_ref(), shadow);
-        let batch_window = self.config.batch_window;
-        let adaptive = self.config.adaptive_batching;
-        let stride = self.config.steal_stride;
-        let throttle = Duration::from_nanos(self.config.worker_throttle_ns);
-        let capacity = self.config.queue_capacity;
-        let overload = self.config.overload;
-        let telemetry = self.config.telemetry;
-
-        let shared = WorkerShared::new(shards, capacity);
-        let mut rejected: Vec<Rejection> = Vec::new();
-        let mut overload_err: Option<JarvisError> = None;
-        let mut results: Vec<Result<ShardOutput, JarvisError>> = Vec::with_capacity(shards);
-
-        std::thread::scope(|s| {
-            let shared = &shared;
-            let mut handles = Vec::with_capacity(shards);
-            for (idx, part) in parts.iter_mut().enumerate() {
-                handles.push(s.spawn(move || {
-                    shard::run_worker(
-                        idx,
-                        part,
-                        view,
-                        batch_window,
-                        adaptive,
-                        stride,
-                        throttle,
-                        telemetry,
-                        shared,
-                    )
-                }));
-            }
-            'route: for (env, &shard_idx) in events.into_iter().zip(&route) {
-                // The enqueue stamp is taken at router hand-off, so reported
-                // latency covers queueing + window residency + inference —
-                // and, under Block backpressure, the blocking wait itself.
-                let mut job = Job { env, enqueued: telemetry.map(|now| now()) };
-                match overload {
-                    OverloadPolicy::Block => loop {
-                        match shared.ingest[shard_idx].try_push(job) {
-                            Ok(()) => break,
-                            Err(PushError::Full(back)) => {
-                                job = back;
-                                // A shard that stopped consuming mid-route
-                                // died: its error surfaces from the join.
-                                if shared.done[shard_idx].load(Ordering::Acquire)
-                                    || shared.abort.load(Ordering::Acquire)
-                                {
-                                    break 'route;
-                                }
-                                std::thread::yield_now();
-                            }
-                        }
-                    },
-                    OverloadPolicy::Shed => {
-                        if let Err(PushError::Full(back)) = shared.ingest[shard_idx].try_push(job) {
-                            rejected.push(Rejection {
-                                seq: back.env.seq,
-                                home: back.env.home,
-                                shard: shard_idx,
-                            });
-                        }
-                    }
-                    OverloadPolicy::Error => {
-                        if let Err(PushError::Full(_)) = shared.ingest[shard_idx].try_push(job) {
-                            overload_err =
-                                Some(JarvisError::Overload { shard: shard_idx, capacity });
-                            break 'route;
-                        }
-                    }
-                }
-            }
-            for ring in &shared.ingest {
-                ring.close();
-            }
-            for handle in handles {
-                results.push(handle.join().unwrap_or_else(|_| {
-                    Err(JarvisError::Config("a worker shard panicked".into()))
-                }));
-            }
-        });
-
-        // Reassemble home ownership before surfacing any error, so the
-        // runtime stays usable after an overload abort.
-        for part in parts {
-            self.homes.extend(part);
-        }
-        if let Some(err) = overload_err {
-            return Err(err);
-        }
-        let mut outputs = Vec::with_capacity(shards);
-        for result in results {
-            outputs.push(result?);
-        }
-        Ok((outputs, rejected))
-    }
-
     /// Snapshot the whole runtime: fleet policy plus every home.
     #[must_use]
     pub fn snapshot(&self) -> RuntimeSnapshot {
@@ -1422,6 +1185,168 @@ impl ServingRuntime {
         }
         Ok(())
     }
+}
+
+/// What a shard executor produced: one output per shard, in shard order,
+/// plus the router's rejections and the supervisors' accounting and WALs
+/// (empty for the executors that have none).
+#[derive(Default)]
+struct Served {
+    outputs: Vec<ShardOutput>,
+    rejected: Vec<Rejection>,
+    recovery: RecoveryReport,
+    wals: Vec<ShardWal>,
+}
+
+/// Sequential execution on the caller's thread: each shard's stream through
+/// the sequential loop, no queue bounds — the bit-exact reference for any
+/// shard count and any steal schedule.
+fn run_sequential(
+    parts: &mut [BTreeMap<u64, HomeSlot>],
+    roster: &Roster<'_>,
+    streams: Vec<Vec<Envelope>>,
+) -> Result<Served, JarvisError> {
+    let mut served = Served::default();
+    for (part, stream) in parts.iter_mut().zip(streams) {
+        let mut out = ShardOutput::default();
+        let mut window = Window::default();
+        shard::process_sequential(part, roster, true, stream.into_iter(), &mut window, &mut out)?;
+        window.flush(roster, &mut out)?;
+        served.outputs.push(out);
+    }
+    Ok(served)
+}
+
+/// Threaded work-stealing execution: one scoped worker per shard behind a
+/// lock-free bounded ingest ring; the router feeds the stream in order and
+/// applies the overload policy; closed inference batches are published on
+/// per-shard run queues that idle siblings steal from in a fixed victim
+/// order.
+fn run_stealing(
+    parts: &mut [BTreeMap<u64, HomeSlot>],
+    roster: &Roster<'_>,
+    events: Vec<Envelope>,
+    route: &[usize],
+    config: &RuntimeConfig,
+) -> Result<Served, JarvisError> {
+    let stride = config.steal_stride;
+    let throttle = Duration::from_nanos(config.worker_throttle_ns);
+    let capacity = config.queue_capacity;
+    let shared = WorkerShared::new(parts.len(), capacity);
+    let mut served = Served::default();
+    let mut overload_err: Option<JarvisError> = None;
+    let mut results: Vec<Result<ShardOutput, JarvisError>> = Vec::with_capacity(parts.len());
+
+    std::thread::scope(|s| {
+        let shared = &shared;
+        let mut handles = Vec::with_capacity(parts.len());
+        for (idx, part) in parts.iter_mut().enumerate() {
+            handles.push(s.spawn(move || {
+                shard::run_worker(idx, part, roster, stride, throttle, shared)
+            }));
+        }
+        'route: for (env, &shard_idx) in events.into_iter().zip(route) {
+            // The enqueue stamp is taken at router hand-off, so reported
+            // latency covers queueing + window residency + inference —
+            // and, under Block backpressure, the blocking wait itself.
+            let mut job = Job { env, enqueued: roster.clock.map(|now| now()) };
+            match config.overload {
+                OverloadPolicy::Block => loop {
+                    match shared.ingest[shard_idx].try_push(job) {
+                        Ok(()) => break,
+                        Err(PushError::Full(back)) => {
+                            job = back;
+                            // A shard that stopped consuming mid-route
+                            // died: its error surfaces from the join.
+                            if shared.done[shard_idx].load(Ordering::Acquire)
+                                || shared.abort.load(Ordering::Acquire)
+                            {
+                                break 'route;
+                            }
+                            std::thread::yield_now();
+                        }
+                    }
+                },
+                OverloadPolicy::Shed => {
+                    if let Err(PushError::Full(back)) = shared.ingest[shard_idx].try_push(job) {
+                        served.rejected.push(Rejection {
+                            seq: back.env.seq,
+                            home: back.env.home,
+                            shard: shard_idx,
+                        });
+                    }
+                }
+                OverloadPolicy::Error => {
+                    if let Err(PushError::Full(_)) = shared.ingest[shard_idx].try_push(job) {
+                        overload_err = Some(JarvisError::Overload { shard: shard_idx, capacity });
+                        break 'route;
+                    }
+                }
+            }
+        }
+        for ring in &shared.ingest {
+            ring.close();
+        }
+        for handle in handles {
+            results.push(handle.join().unwrap_or_else(|_| {
+                Err(JarvisError::Config("a worker shard panicked".into()))
+            }));
+        }
+    });
+
+    if let Some(err) = overload_err {
+        return Err(err);
+    }
+    for result in results {
+        served.outputs.push(result?);
+    }
+    Ok(served)
+}
+
+/// Supervised execution: every shard under a [`ShardSupervisor`] with its
+/// own WAL — sequentially on the caller's thread in deterministic mode,
+/// one scoped worker per shard otherwise. Shards are independent here, so
+/// both are bitwise identical.
+fn run_supervised(
+    parts: &mut [BTreeMap<u64, HomeSlot>],
+    roster: &Roster<'_>,
+    streams: Vec<Vec<Envelope>>,
+    sup: &SupervisorConfig,
+    chaos: Option<&ChaosSchedule>,
+    deterministic: bool,
+) -> Result<Served, JarvisError> {
+    let run = |idx: usize, part: &mut BTreeMap<u64, HomeSlot>, stream: Vec<Envelope>| {
+        ShardSupervisor::new(idx, sup, chaos).run(part, roster, stream)
+    };
+    let jobs = parts.iter_mut().zip(streams).enumerate();
+    let results: Vec<Result<_, JarvisError>> = if deterministic {
+        jobs.map(|(idx, (part, stream))| run(idx, part, stream)).collect()
+    } else {
+        std::thread::scope(|s| {
+            let run = &run;
+            let handles: Vec<_> = jobs
+                .map(|(idx, (part, stream))| s.spawn(move || run(idx, part, stream)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|handle| {
+                    handle.join().unwrap_or_else(|_| {
+                        Err(JarvisError::Config(
+                            "a supervised shard worker died outside its panic boundary".into(),
+                        ))
+                    })
+                })
+                .collect()
+        })
+    };
+    let mut served = Served::default();
+    for result in results {
+        let (output, recovery, wal) = result?;
+        served.outputs.push(output);
+        served.recovery.absorb(recovery);
+        served.wals.push(wal);
+    }
+    Ok(served)
 }
 
 /// Replay one home's drained delta into its optimizer checkpoint. Pure:

@@ -1,25 +1,33 @@
 //! The worker-shard event loop: monitor checks, sensor application, and the
 //! work-stealing batched decision path.
 //!
-//! Two execution flavours share one event-application core:
+//! Two execution flavours share one event-application core and one epoch
+//! mechanism:
 //!
 //! - [`process_sequential`] — the deterministic reference: one thread walks
-//!   one shard's stream, closing a decision batch whenever the window fills
-//!   and flushing the remainder at end of stream.
+//!   one shard's stream, closing a decision batch whenever the window fills.
+//!   A supervisor's recovery replay runs the same loop.
 //! - [`run_worker`] — the threaded work-stealing loop: each worker drains
 //!   its own lock-free ingest ring, parks queries in a batching window,
 //!   publishes closed batches as [`InferenceTask`]s on its own run queue,
 //!   and — when its own queues are dry — *steals* batches from sibling
 //!   shards in a fixed victim order.
 //!
+//! Both loops read the serve call's [`Roster`]: a scheduled policy swap
+//! takes effect at its `at_seq` inside every loop, because the window
+//! closes whenever a query's epoch differs from the one its batch was
+//! parked under, and every task carries its epoch — a batch never spans a
+//! swap, whoever executes it.
+//!
 //! Stealing cannot change any decision: a batch snapshots every query's
 //! observation, valid-action set, and flat→mini action map at in-order
 //! processing time, and the batched forward is bit-identical per row to a
-//! single-row forward, so an [`InferenceTask`] is a pure function of the
-//! policy — whichever worker runs it, whenever, produces the same bytes.
+//! single-row forward, so an [`InferenceTask`] is a pure function of its
+//! epoch's policy — whichever worker runs it, whenever, produces the same
+//! bytes.
 
 use crate::event::{DecisionSource, Envelope, EventKind, Outcome};
-use crate::policy_store::ShadowRow;
+use crate::policy_store::{ShadowRow, SwapPoint};
 use crate::slot::HomeSlot;
 use jarvis::JarvisError;
 use jarvis_iot_model::MiniAction;
@@ -48,13 +56,34 @@ pub(crate) struct PolicyView<'a> {
     pub shadow: Option<&'a DqnAgent>,
 }
 
-impl<'a> PolicyView<'a> {
-    pub(crate) fn new(
-        policy: &'a DqnAgent,
-        quantized: Option<&'a QuantizedPolicy>,
-        shadow: Option<&'a DqnAgent>,
-    ) -> Self {
-        PolicyView { policy, quantized, shadow }
+/// Everything a shard loop reads and never writes during one serve call:
+/// the policy timeline, the batching-window bound, and the telemetry clock.
+///
+/// `views[0]` serves until `swaps[0].at_seq`, `views[k]` from
+/// `swaps[k-1].at_seq` to `swaps[k].at_seq`, and so on (`views.len() ==
+/// swaps.len() + 1`). The epoch of an envelope is a pure function of its
+/// seq, so every loop — sequential, stealing, or a recovery replay —
+/// serves each envelope under the same policy whatever the shard count,
+/// steal schedule, or crash history.
+pub(crate) struct Roster<'a> {
+    /// Per-epoch policy views, in timeline order.
+    pub views: Vec<PolicyView<'a>>,
+    /// The swap schedule, strictly ascending by `at_seq`.
+    pub swaps: &'a [SwapPoint],
+    /// Maximum queries parked before a batched forward is forced.
+    pub batch_window: usize,
+    /// Injected telemetry clock (`None`: serving reads no clock).
+    pub clock: Option<fn() -> u64>,
+}
+
+impl<'a> Roster<'a> {
+    /// The epoch serving `seq`: swaps take effect *at* their seq.
+    pub(crate) fn epoch_of(&self, seq: u64) -> usize {
+        self.swaps.partition_point(|s| s.at_seq <= seq)
+    }
+
+    fn view(&self, epoch: usize) -> PolicyView<'a> {
+        self.views[epoch.min(self.views.len() - 1)]
     }
 }
 
@@ -88,8 +117,8 @@ pub(crate) struct Job {
 /// A query parked in the batching window, its observation, valid set, and
 /// action map snapshotted at in-order processing time so neither later
 /// events nor the executing worker can change the answer.
-pub(crate) struct Pending {
-    pub(crate) seq: u64,
+struct Pending {
+    seq: u64,
     home: u64,
     obs: Vec<f64>,
     valid: Vec<usize>,
@@ -100,10 +129,76 @@ pub(crate) struct Pending {
     enqueued: Option<u64>,
 }
 
-/// A closed batch of snapshotted queries: self-contained inference work
-/// executable by any worker with bitwise-identical results.
+/// A closed batch of snapshotted queries plus the policy epoch they were
+/// parked under: self-contained inference work executable by any worker
+/// with bitwise-identical results.
 pub(crate) struct InferenceTask {
-    pub(crate) entries: Vec<Pending>,
+    entries: Vec<Pending>,
+    epoch: usize,
+}
+
+/// The batching window: queries parked for one batched forward, all under
+/// the policy epoch they were parked in.
+#[derive(Default)]
+pub(crate) struct Window {
+    pending: Vec<Pending>,
+    epoch: usize,
+}
+
+impl Window {
+    fn is_empty(&self) -> bool {
+        self.pending.is_empty()
+    }
+
+    fn is_full(&self, batch_window: usize) -> bool {
+        self.pending.len() >= batch_window
+    }
+
+    /// Move the window to `epoch`, handing back the batch parked under a
+    /// different epoch, if any — a batch never spans a swap.
+    fn enter(&mut self, epoch: usize) -> Option<InferenceTask> {
+        let closed = if epoch == self.epoch { None } else { self.close() };
+        self.epoch = epoch;
+        closed
+    }
+
+    /// [`Window::enter`], answering the closed batch inline.
+    pub(crate) fn advance(
+        &mut self,
+        epoch: usize,
+        roster: &Roster<'_>,
+        out: &mut ShardOutput,
+    ) -> Result<(), JarvisError> {
+        match self.enter(epoch) {
+            Some(task) => run_batch(task, roster, out),
+            None => Ok(()),
+        }
+    }
+
+    /// Close the window: its parked queries as one task, `None` when empty.
+    fn close(&mut self) -> Option<InferenceTask> {
+        let entries = std::mem::take(&mut self.pending);
+        (!entries.is_empty()).then_some(InferenceTask { entries, epoch: self.epoch })
+    }
+
+    /// Close the window and answer its queries inline, under the epoch
+    /// they were parked in.
+    pub(crate) fn flush(
+        &mut self,
+        roster: &Roster<'_>,
+        out: &mut ShardOutput,
+    ) -> Result<(), JarvisError> {
+        match self.close() {
+            Some(task) => run_batch(task, roster, out),
+            None => Ok(()),
+        }
+    }
+
+    /// Drop every parked query (a recovery rolls the window back together
+    /// with the slots).
+    pub(crate) fn clear(&mut self) {
+        self.pending.clear();
+    }
 }
 
 /// Everything the worker threads share: per-shard ingest rings, per-shard
@@ -166,7 +261,7 @@ pub(crate) fn apply_event(
     job: Job,
     clock: Option<fn() -> u64>,
     learn: bool,
-    pending: &mut Vec<Pending>,
+    window: &mut Window,
     out: &mut ShardOutput,
 ) -> Result<(), JarvisError> {
     let env = job.env;
@@ -187,7 +282,7 @@ pub(crate) fn apply_event(
             if learn {
                 slot.note_ambient(indoor_c, outdoor_c, price_per_kwh);
             }
-            pending.push(Pending {
+            window.pending.push(Pending {
                 seq: env.seq,
                 home: env.home,
                 obs: slot.encode(env.minute, indoor_c, outdoor_c, price_per_kwh),
@@ -202,25 +297,23 @@ pub(crate) fn apply_event(
     Ok(())
 }
 
-/// Execute one closed batch: a single batched forward, then one
-/// descending-Q ranking walk per row down to the best action each home's
-/// safe set allows (`Max(Q, c)`).
+/// Execute one closed batch under its epoch's policy view: a single batched
+/// forward, then one descending-Q ranking walk per row down to the best
+/// action each home's safe set allows (`Max(Q, c)`).
 ///
-/// When a deployed [`QuantizedPolicy`] is supplied, the batched forward
+/// When the view carries a deployed [`QuantizedPolicy`], the batched forward
 /// runs through its int8 fixed-point network instead of the f64 agent —
 /// the ranking walk is identical, only the Q source changes. Quantized Q
 /// values are bit-deterministic across SIMD tiers, pool sizes, and batch
 /// groupings (i32 accumulation), so the serving determinism contract is
 /// unchanged.
-pub(crate) fn run_batch(
+fn run_batch(
     task: InferenceTask,
-    view: PolicyView<'_>,
-    clock: Option<fn() -> u64>,
+    roster: &Roster<'_>,
     out: &mut ShardOutput,
 ) -> Result<(), JarvisError> {
-    if task.entries.is_empty() {
-        return Ok(());
-    }
+    let view = roster.view(task.epoch);
+    let clock = roster.clock;
     let rows: Vec<&[f64]> = task.entries.iter().map(|p| p.obs.as_slice()).collect();
     let q_rows = match view.quantized {
         Some(qp) => qp.q_values_batch(&rows)?,
@@ -309,50 +402,41 @@ fn score_shadow(
     ShadowRow { seq: p.seq, agree: shadow_flat == active_flat, parity_ok, regret }
 }
 
-/// Close the current window: publish it on this shard's run queue so an
-/// idle sibling can steal it, or — when the run queue is full — execute it
-/// inline right now.
-fn close_batch(
+/// Publish a closed batch on this shard's run queue so an idle sibling can
+/// steal it, or — when the run queue is full — execute it inline right now.
+fn publish(
     run_queue: &StealQueue<InferenceTask>,
-    pending: &mut Vec<Pending>,
-    view: PolicyView<'_>,
-    clock: Option<fn() -> u64>,
+    task: Option<InferenceTask>,
+    roster: &Roster<'_>,
     out: &mut ShardOutput,
 ) -> Result<(), JarvisError> {
-    if pending.is_empty() {
-        return Ok(());
-    }
-    let task = InferenceTask { entries: std::mem::take(pending) };
-    match run_queue.try_push(task) {
-        Ok(()) => Ok(()),
-        Err(PushError::Full(task)) => run_batch(task, view, clock, out),
+    match task.map(|task| run_queue.try_push(task)) {
+        Some(Err(PushError::Full(task))) => run_batch(task, roster, out),
+        _ => Ok(()),
     }
 }
 
-/// Drive one shard sequentially over its whole stream — the bit-exact
-/// deterministic reference for any shard count and any steal schedule.
+/// Drive `events` through one shard sequentially, in order — the bit-exact
+/// deterministic reference for any shard count and any steal schedule, and
+/// the replay loop of a supervisor's recovery. The window is closed on
+/// every epoch change and whenever it fills; what is still parked at the
+/// end stays in `window` for the caller to flush or keep filling.
 pub(crate) fn process_sequential(
     slots: &mut BTreeMap<u64, HomeSlot>,
-    view: PolicyView<'_>,
-    batch_window: usize,
-    clock: Option<fn() -> u64>,
+    roster: &Roster<'_>,
+    learn: bool,
     events: impl Iterator<Item = Envelope>,
-) -> Result<ShardOutput, JarvisError> {
-    let mut out = ShardOutput::default();
-    let mut pending: Vec<Pending> = Vec::new();
+    window: &mut Window,
+    out: &mut ShardOutput,
+) -> Result<(), JarvisError> {
     for env in events {
-        apply_event(slots, Job { env, enqueued: None }, clock, true, &mut pending, &mut out)?;
-        if pending.len() >= batch_window {
-            run_batch(
-                InferenceTask { entries: std::mem::take(&mut pending) },
-                view,
-                clock,
-                &mut out,
-            )?;
+        window.advance(roster.epoch_of(env.seq), roster, out)?;
+        apply_event(slots, Job { env, enqueued: None }, roster.clock, learn, window, out)?;
+        if window.is_full(roster.batch_window) {
+            window.flush(roster, out)?;
         }
     }
-    run_batch(InferenceTask { entries: pending }, view, clock, &mut out)?;
-    Ok(out)
+    Ok(())
 }
 
 /// Marks this shard done-publishing on every exit path — including panics
@@ -374,72 +458,64 @@ impl Drop for ExitGuard<'_> {
 }
 
 /// The threaded work-stealing worker loop for shard `idx`.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_worker(
     idx: usize,
     slots: &mut BTreeMap<u64, HomeSlot>,
-    view: PolicyView<'_>,
-    batch_window: usize,
-    adaptive: bool,
+    roster: &Roster<'_>,
     stride: usize,
     throttle: Duration,
-    clock: Option<fn() -> u64>,
     shared: &WorkerShared,
 ) -> Result<ShardOutput, JarvisError> {
     let mut guard = ExitGuard { done: &shared.done[idx], abort: &shared.abort, clean: false };
-    let result =
-        worker_loop(idx, slots, view, batch_window, adaptive, stride, throttle, clock, shared);
+    let result = worker_loop(idx, slots, roster, stride, throttle, shared);
     guard.clean = result.is_ok();
     drop(guard);
     result
 }
 
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
     idx: usize,
     slots: &mut BTreeMap<u64, HomeSlot>,
-    view: PolicyView<'_>,
-    batch_window: usize,
-    adaptive: bool,
+    roster: &Roster<'_>,
     stride: usize,
     throttle: Duration,
-    clock: Option<fn() -> u64>,
     shared: &WorkerShared,
 ) -> Result<ShardOutput, JarvisError> {
     let ingest = &shared.ingest[idx];
     let run_queue = &shared.tasks[idx];
     let victims = steal_order(idx, shared.tasks.len(), stride);
     let mut out = ShardOutput::default();
-    let mut pending: Vec<Pending> = Vec::new();
+    let mut window = Window::default();
     let mut done_publishing = false;
 
     loop {
         let mut progress = false;
 
         // 1. Drain the ingest ring: monitor/sensor work applies inline,
-        //    queries snapshot into the batching window.
+        //    queries snapshot into the batching window, which closes on an
+        //    epoch change and when it fills.
         while let Some(job) = ingest.pop() {
             progress = true;
             if !throttle.is_zero() {
                 std::thread::sleep(throttle);
             }
-            apply_event(slots, job, clock, true, &mut pending, &mut out)?;
-            if pending.len() >= batch_window {
-                close_batch(run_queue, &mut pending, view, clock, &mut out)?;
+            publish(run_queue, window.enter(roster.epoch_of(job.env.seq)), roster, &mut out)?;
+            apply_event(slots, job, roster.clock, true, &mut window, &mut out)?;
+            if window.is_full(roster.batch_window) {
+                publish(run_queue, window.close(), roster, &mut out)?;
             }
         }
 
         // 2. Adaptive close: the ring ran dry with queries parked — answer
         //    them now instead of letting them age until the window fills.
-        if adaptive && !pending.is_empty() {
-            close_batch(run_queue, &mut pending, view, clock, &mut out)?;
+        if !window.is_empty() {
+            publish(run_queue, window.close(), roster, &mut out)?;
             progress = true;
         }
 
-        // 3. End of stream: flush the remainder, then announce that this
-        //    shard will never publish another task.
+        // 3. End of stream (the window is empty after step 2): announce
+        //    that this shard will never publish another task.
         if !done_publishing && ingest.is_drained() {
-            close_batch(run_queue, &mut pending, view, clock, &mut out)?;
             shared.done[idx].store(true, Ordering::Release);
             done_publishing = true;
         }
@@ -447,12 +523,12 @@ fn worker_loop(
         // 4. Execute own batches first (freshest cache), then steal from
         //    the fixed victim schedule.
         if let Some(task) = run_queue.pop() {
-            run_batch(task, view, clock, &mut out)?;
+            run_batch(task, roster, &mut out)?;
             continue;
         }
         for &victim in &victims {
             if let Some(task) = shared.tasks[victim].pop() {
-                run_batch(task, view, clock, &mut out)?;
+                run_batch(task, roster, &mut out)?;
                 progress = true;
                 break;
             }

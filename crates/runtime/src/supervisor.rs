@@ -38,9 +38,8 @@
 //! exact same path.
 
 use crate::event::{DecisionSource, Envelope, EventKind, Outcome};
-use crate::policy_store::SwapPoint;
 use crate::runtime::ServeReport;
-use crate::shard::{self, InferenceTask, Job, Pending, PolicyView, ShardOutput};
+use crate::shard::{self, Job, Roster, ShardOutput, Window};
 use crate::slot::HomeSlot;
 use crate::wal::{ShardWal, WalRecord};
 use jarvis::JarvisError;
@@ -50,30 +49,7 @@ use jarvis_stdkit::{json_enum, json_struct};
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-/// The policy timeline one supervised serve call runs against: `views[0]`
-/// serves until `swaps[0].at_seq`, `views[k]` from `swaps[k-1].at_seq` to
-/// `swaps[k].at_seq`, and so on (`views.len() == swaps.len() + 1`). The
-/// epoch of an envelope is a pure function of its seq, so a recovery replay
-/// re-serves every envelope under the exact policy that first served it.
-pub(crate) struct Roster<'a> {
-    /// Per-epoch policy views, in timeline order.
-    pub views: Vec<PolicyView<'a>>,
-    /// The swap schedule, strictly ascending by `at_seq`.
-    pub swaps: &'a [SwapPoint],
-}
-
-impl<'a> Roster<'a> {
-    /// The epoch serving `seq`: swaps take effect *at* their seq.
-    fn epoch_of(&self, seq: u64) -> usize {
-        self.swaps.partition_point(|s| s.at_seq <= seq)
-    }
-
-    fn view(&self, epoch: usize) -> PolicyView<'a> {
-        self.views[epoch.min(self.views.len() - 1)]
-    }
-}
-
-/// Supervision policy for [`crate::ServingRuntime::serve_supervised`].
+/// Supervision policy for [`crate::ServingRuntime::serve_online_supervised`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SupervisorConfig {
     /// Maximum shard restarts per serve call; one more failure degrades the
@@ -366,61 +342,36 @@ impl<'a> ShardSupervisor<'a> {
     }
 
     /// Restore the WAL checkpoint (the dirty homes only — see
-    /// [`ShardWal::restore`]) and replay the logged suffix, truncating
-    /// the output back to the checkpoint marks first. Replayed envelopes are
-    /// re-served under the exact policy epoch that first served them
-    /// ([`Roster::epoch_of`]). Returns the number of envelopes replayed.
-    #[allow(clippy::too_many_arguments)]
+    /// [`ShardWal::restore`]) and replay the logged suffix through the
+    /// sequential shard loop, truncating the output back to the checkpoint
+    /// marks first. Replayed envelopes are re-served under the exact policy
+    /// epoch that first served them ([`Roster::epoch_of`]); quarantined
+    /// queries get their fallback answer again. Returns the number of
+    /// envelopes replayed.
     fn restore_and_replay(
         &mut self,
         slots: &mut BTreeMap<u64, HomeSlot>,
         roster: &Roster<'_>,
-        batch_window: usize,
-        clock: Option<fn() -> u64>,
         wal: &ShardWal,
         marks: (usize, usize, usize),
-        pending: &mut Vec<Pending>,
-        pending_epoch: &mut Option<usize>,
+        window: &mut Window,
         out: &mut ShardOutput,
     ) -> Result<usize, JarvisError> {
         out.outcomes.truncate(marks.0);
         out.latencies_ns.truncate(marks.1);
         out.shadow.truncate(marks.2);
-        pending.clear();
-        *pending_epoch = None;
+        window.clear();
         wal.restore(slots)?;
         let suffix = wal.replay_suffix();
-        for env in suffix {
-            if self.quarantined.contains(&env.seq) {
+        let learn = !self.degraded;
+        for run in suffix.split_inclusive(|env| self.quarantined.contains(&env.seq)) {
+            let (run, quarantined) = match run.split_last() {
+                Some((env, head)) if self.quarantined.contains(&env.seq) => (head, Some(env)),
+                _ => (run, None),
+            };
+            shard::process_sequential(slots, roster, learn, run.iter().cloned(), window, out)?;
+            if let Some(env) = quarantined {
                 Self::fallback_decision(slots, env, out)?;
-                continue;
-            }
-            let epoch = roster.epoch_of(env.seq);
-            if !pending.is_empty() && *pending_epoch != Some(epoch) {
-                shard::run_batch(
-                    InferenceTask { entries: std::mem::take(pending) },
-                    roster.view(pending_epoch.unwrap_or(epoch)),
-                    clock,
-                    out,
-                )?;
-            }
-            *pending_epoch = Some(epoch);
-            let learn = !self.degraded;
-            shard::apply_event(
-                slots,
-                Job { env: env.clone(), enqueued: None },
-                clock,
-                learn,
-                pending,
-                out,
-            )?;
-            if pending.len() >= batch_window {
-                shard::run_batch(
-                    InferenceTask { entries: std::mem::take(pending) },
-                    roster.view(epoch),
-                    clock,
-                    out,
-                )?;
             }
         }
         Ok(suffix.len())
@@ -433,7 +384,7 @@ impl<'a> ShardSupervisor<'a> {
         slots: &mut BTreeMap<u64, HomeSlot>,
         env: &Envelope,
         clock: Option<fn() -> u64>,
-        pending: &mut Vec<Pending>,
+        window: &mut Window,
         out: &mut ShardOutput,
     ) -> Result<Attempt, JarvisError> {
         let armed = self.armed(env.seq);
@@ -455,7 +406,7 @@ impl<'a> ShardSupervisor<'a> {
                 Job { env: env.clone(), enqueued: None },
                 clock,
                 learn,
-                pending,
+                window,
                 out,
             );
             if applied.is_ok() {
@@ -503,18 +454,15 @@ impl<'a> ShardSupervisor<'a> {
     }
 
     /// Drive one shard's whole stream under supervision.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run(
         mut self,
         slots: &mut BTreeMap<u64, HomeSlot>,
         roster: &Roster<'_>,
-        batch_window: usize,
-        clock: Option<fn() -> u64>,
         stream: Vec<Envelope>,
     ) -> Result<(ShardOutput, RecoveryReport, ShardWal), JarvisError> {
+        let clock = roster.clock;
         let mut out = ShardOutput::default();
-        let mut pending: Vec<Pending> = Vec::new();
-        let mut pending_epoch: Option<usize> = None;
+        let mut window = Window::default();
         let mut wal =
             ShardWal::new(self.shard, slots.values().map(HomeSlot::snapshot).collect());
         let mut marks = (0usize, 0usize, 0usize);
@@ -541,15 +489,7 @@ impl<'a> ShardSupervisor<'a> {
                 wal.append_record(WalRecord::Swap { at_seq: sp.at_seq, version: sp.version });
                 self.recorded_swaps += 1;
             }
-            if !pending.is_empty() && pending_epoch != Some(epoch) {
-                shard::run_batch(
-                    InferenceTask { entries: std::mem::take(&mut pending) },
-                    roster.view(pending_epoch.unwrap_or(epoch)),
-                    clock,
-                    &mut out,
-                )?;
-            }
-            pending_epoch = Some(epoch);
+            window.advance(epoch, roster, &mut out)?;
 
             if self.quarantined.contains(&env.seq)
                 || (self.degraded && matches!(env.kind, EventKind::Query { .. }))
@@ -558,7 +498,7 @@ impl<'a> ShardSupervisor<'a> {
                 since_checkpoint += 1;
             } else {
                 loop {
-                    match self.attempt(slots, &env, clock, &mut pending, &mut out)? {
+                    match self.attempt(slots, &env, clock, &mut window, &mut out)? {
                         Attempt::Applied => {
                             since_checkpoint += 1;
                             break;
@@ -579,8 +519,7 @@ impl<'a> ShardSupervisor<'a> {
                                 // Poison pill: stop retrying, serve the
                                 // safe-table answer, move on.
                                 self.restore_and_replay(
-                                    slots, roster, batch_window, clock, &wal, marks,
-                                    &mut pending, &mut pending_epoch, &mut out,
+                                    slots, roster, &wal, marks, &mut window, &mut out,
                                 )?;
                                 self.quarantined.insert(env.seq);
                                 self.recovery.quarantined.push(QuarantineRecord {
@@ -600,8 +539,7 @@ impl<'a> ShardSupervisor<'a> {
                                 // Budget exhausted: the neural path goes
                                 // offline for the rest of the call.
                                 self.restore_and_replay(
-                                    slots, roster, batch_window, clock, &wal, marks,
-                                    &mut pending, &mut pending_epoch, &mut out,
+                                    slots, roster, &wal, marks, &mut window, &mut out,
                                 )?;
                                 self.degraded = true;
                                 self.recovery.degraded_shards.push(self.shard);
@@ -614,7 +552,7 @@ impl<'a> ShardSupervisor<'a> {
                                     // here has no budget left to recover
                                     // with — fail loudly, never drop.
                                     match self
-                                        .attempt(slots, &env, clock, &mut pending, &mut out)?
+                                        .attempt(slots, &env, clock, &mut window, &mut out)?
                                     {
                                         Attempt::Applied => {}
                                         Attempt::Overrun | Attempt::Panicked => {
@@ -645,9 +583,12 @@ impl<'a> ShardSupervisor<'a> {
                                 );
                             self.recovery.virtual_ticks += backoff_ticks;
                             let replayed = self.restore_and_replay(
-                                slots, roster, batch_window, clock, &wal, marks,
-                                &mut pending, &mut pending_epoch, &mut out,
+                                slots, roster, &wal, marks, &mut window, &mut out,
                             )?;
+                            // The replay leaves the window under the last
+                            // replayed envelope's epoch; the retry parks
+                            // into this envelope's.
+                            window.advance(epoch, roster, &mut out)?;
                             self.recovery.restarts.push(RestartRecord {
                                 shard: self.shard,
                                 seq: env.seq,
@@ -671,14 +612,7 @@ impl<'a> ShardSupervisor<'a> {
                 // queries (including the retried one) decide *now*, and
                 // close the crash → first-decision stamp.
                 if let Some(t0) = self.pending_recovery_stamp.take() {
-                    if !pending.is_empty() {
-                        shard::run_batch(
-                            InferenceTask { entries: std::mem::take(&mut pending) },
-                            roster.view(pending_epoch.unwrap_or(epoch)),
-                            clock,
-                            &mut out,
-                        )?;
-                    }
+                    window.flush(roster, &mut out)?;
                     if let Some(now) = clock {
                         self.recovery.recovery_ns.push(now().saturating_sub(t0));
                     }
@@ -692,14 +626,7 @@ impl<'a> ShardSupervisor<'a> {
             if since_checkpoint >= self.sup.checkpoint_every {
                 // Flush the window first so the checkpoint is a batch
                 // boundary and the WAL suffix stays self-contained.
-                if !pending.is_empty() {
-                    shard::run_batch(
-                        InferenceTask { entries: std::mem::take(&mut pending) },
-                        roster.view(pending_epoch.unwrap_or(epoch)),
-                        clock,
-                        &mut out,
-                    )?;
-                }
+                window.flush(roster, &mut out)?;
                 wal.checkpoint(slots);
                 marks = (out.outcomes.len(), out.latencies_ns.len(), out.shadow.len());
                 self.recovery.checkpoints += 1;
@@ -708,13 +635,7 @@ impl<'a> ShardSupervisor<'a> {
         }
 
         // End of stream: answer whatever is still parked.
-        let final_epoch = pending_epoch.unwrap_or(0);
-        shard::run_batch(
-            InferenceTask { entries: pending },
-            roster.view(final_epoch),
-            clock,
-            &mut out,
-        )?;
+        window.flush(roster, &mut out)?;
         self.recovery.fallback_decisions = out
             .outcomes
             .iter()

@@ -14,7 +14,7 @@ use jarvis_policy::SafeTransitionTable;
 use jarvis_rl::{DqnAgent, DqnConfig};
 use jarvis_runtime::{
     Envelope, EventKind, FineTuneConfig, OnlineConfig, Outcome, RuntimeConfig, ServingRuntime,
-    ShadowGates, ShadowRow, SwapPoint,
+    ShadowGates, ShadowRow, SupervisorConfig, SwapPoint,
 };
 use jarvis_sim::{FleetGenerator, HomeDataset};
 use jarvis_smart_home::SmartHome;
@@ -326,9 +326,21 @@ fn swap_plans_are_validated() {
     let f = fixture();
     let fleet = FleetGenerator::new(5, 2);
 
-    // No online learning: swaps are refused outright.
+    // No online learning: swaps are refused outright, by both entry points.
     let mut rt = build_runtime(&f, det_config(1), fleet.num_homes());
-    assert!(rt.serve_online(Vec::new(), &[SwapPoint { at_seq: 0, version: 0 }]).is_err());
+    let plan = [SwapPoint { at_seq: 0, version: 0 }];
+    let sup = SupervisorConfig::default();
+    assert!(rt.serve_online(Vec::new(), &plan).is_err());
+    assert!(rt.serve_online_supervised(Vec::new(), &sup, None, &plan).is_err());
+    // ...but an empty plan is plain serving and needs no store.
+    let ingest = rt.ingest_fleet_day(&fleet, 0, None, Some(query_every())).expect("ingest");
+    let served = rt.serve_online(ingest.envelopes, &[]).expect("empty plan, no store");
+    assert!(served.decisions() > 0);
+    let ingest = rt.ingest_fleet_day(&fleet, 1, None, Some(query_every())).expect("ingest");
+    let supervised =
+        rt.serve_online_supervised(ingest.envelopes, &sup, None, &[]).expect("empty plan");
+    assert!(supervised.report.decisions() > 0);
+    assert!(rt.policy_store().is_none(), "serving must not create a store");
 
     let mut rt = online_runtime(&f, det_config(1), fleet.num_homes());
     let version = rt.policy_store_mut().expect("store").register(alt_policy(&f).checkpoint());

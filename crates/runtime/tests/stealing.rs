@@ -7,10 +7,12 @@ use jarvis::{Jarvis, JarvisConfig, OptimizerConfig};
 use jarvis_policy::SafeTransitionTable;
 use jarvis_rl::{DqnAgent, DqnConfig};
 use jarvis_runtime::{
-    Envelope, EventKind, Outcome, Placement, RuntimeConfig, ServingRuntime,
+    Envelope, EventKind, OnlineConfig, Outcome, Placement, RuntimeConfig, ServingRuntime,
+    ShadowGates, SwapPoint,
 };
 use jarvis_sim::{FleetGenerator, HomeDataset};
 use jarvis_smart_home::SmartHome;
+use jarvis_stdkit::json::ToJson;
 
 /// A home catalogue, a learned table, and a policy agent sized for it.
 struct Fixture {
@@ -110,10 +112,14 @@ fn adaptive_and_fixed_batch_windows_agree() {
     let f = fixture();
     let fleet = FleetGenerator::new(71, 4);
     let (_, want) = oracle(&f, &fleet, 0);
-    for adaptive in [false, true] {
+    // A worker throttled below the router's pace never sees its ring run
+    // dry before the stream ends, so its windows close only when they fill
+    // (fixed windows); an unthrottled worker keeps catching up with the
+    // router and closes them adaptively.
+    for throttle_ns in [0u64, 20_000] {
         for batch_window in [1usize, 16, 256] {
             let mut config = RuntimeConfig::new(4);
-            config.adaptive_batching = adaptive;
+            config.worker_throttle_ns = throttle_ns;
             config.batch_window = batch_window;
             let mut rt = build_runtime(&f, config, fleet.num_homes());
             let ingest = rt.ingest_fleet_day(&fleet, 0, None, Some(30)).expect("ingest");
@@ -121,7 +127,7 @@ fn adaptive_and_fixed_batch_windows_agree() {
             assert_outcomes_bit_identical(
                 &want,
                 &report.outcomes,
-                &format!("adaptive={adaptive} window={batch_window}"),
+                &format!("throttle={throttle_ns}ns window={batch_window}"),
             );
         }
     }
@@ -182,6 +188,89 @@ fn skewed_hot_home_with_stealing_matches_single_shard_oracle() {
             hot_shard,
             "idle home {id} must not share the hot home's shard"
         );
+    }
+}
+
+/// An online runtime with two more policy versions registered: an alt
+/// policy for the swap plan and a candidate staged for shadow scoring.
+/// Returns the runtime and the alt version id.
+fn swap_runtime(f: &Fixture, config: RuntimeConfig, homes: u32) -> (ServingRuntime, u64) {
+    let mut rt = build_runtime(f, config, homes);
+    rt.enable_online(OnlineConfig::default(), ShadowGates::default()).expect("enable online");
+    let agent = |seed| {
+        let mut cfg = f.policy.config().clone();
+        cfg.seed = seed;
+        DqnAgent::new(cfg).expect("policy net").checkpoint()
+    };
+    let store = rt.policy_store_mut().expect("store");
+    let alt = store.register(agent(99));
+    let candidate = store.register(agent(123));
+    store.stage(candidate).expect("stage candidate");
+    (rt, alt)
+}
+
+/// Fleet state with the shard count pinned to 1: the partitioning is
+/// deployment topology, not fleet state.
+fn fleet_state(rt: &ServingRuntime) -> String {
+    let mut snap = rt.snapshot();
+    snap.shards = 1;
+    snap.to_json()
+}
+
+/// Threaded workers throttled below the router's pace fill their 64-query
+/// windows, and both swaps land in the middle of one: each window must
+/// close at the swap and every batch — whoever steals it — run under the
+/// epoch its queries were parked in. Outcomes, snapshot bytes (learned
+/// tables, store, swap history) and the candidate's shadow score all match
+/// the single-shard deterministic oracle bit for bit.
+#[test]
+fn stealing_batches_never_span_a_swap() {
+    let f = fixture();
+    let fleet = FleetGenerator::new(89, 8);
+    let mut config = RuntimeConfig::new(1);
+    config.deterministic = true;
+    config.batch_window = 64;
+    let (mut oracle_rt, alt) = swap_runtime(&f, config.clone(), fleet.num_homes());
+    let envelopes =
+        oracle_rt.ingest_fleet_day(&fleet, 1, None, Some(15)).expect("ingest").envelopes;
+    let queries: Vec<u64> = envelopes
+        .iter()
+        .filter(|env| matches!(env.kind, EventKind::Query { .. }))
+        .map(|env| env.seq)
+        .collect();
+    let swaps = [
+        SwapPoint { at_seq: queries[queries.len() / 3 + 17], version: alt },
+        SwapPoint { at_seq: queries[2 * queries.len() / 3 + 41], version: 0 },
+    ];
+    let want = oracle_rt.serve_online(envelopes.clone(), &swaps).expect("oracle").outcomes;
+    let want_state = fleet_state(&oracle_rt);
+    let want_score = format!("{:?}", oracle_rt.policy_store().expect("store").score());
+    assert!(oracle_rt.policy_store().expect("store").score().decisions > 0);
+
+    // The plan must matter: without it the swapped epoch answers differently.
+    let (mut frozen, _) = swap_runtime(&f, config, fleet.num_homes());
+    frozen.ingest_fleet_day(&fleet, 1, None, Some(15)).expect("ingest");
+    let base = frozen.serve(envelopes.clone()).expect("serve").outcomes;
+    let in_alt_epoch = |o: &&Outcome| (swaps[0].at_seq..swaps[1].at_seq).contains(&o.seq());
+    assert_ne!(
+        want.iter().filter(in_alt_epoch).collect::<Vec<_>>(),
+        base.iter().filter(in_alt_epoch).collect::<Vec<_>>(),
+        "the swapped-in policy must answer differently"
+    );
+
+    for shards in [2usize, 4] {
+        let mut config = RuntimeConfig::new(shards);
+        config.batch_window = 64;
+        config.worker_throttle_ns = 20_000;
+        let (mut rt, _) = swap_runtime(&f, config, fleet.num_homes());
+        let ingest = rt.ingest_fleet_day(&fleet, 1, None, Some(15)).expect("ingest");
+        assert_eq!(envelopes, ingest.envelopes);
+        let got = rt.serve_online(ingest.envelopes, &swaps).expect("threaded serve_online");
+        let what = format!("{shards} shards, throttled");
+        assert_outcomes_bit_identical(&want, &got.outcomes, &what);
+        assert_eq!(want_state, fleet_state(&rt), "{what}: snapshot bytes differ");
+        let score = format!("{:?}", rt.policy_store().expect("store").score());
+        assert_eq!(want_score, score, "{what}: shadow score differs");
     }
 }
 

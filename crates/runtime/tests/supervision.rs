@@ -105,7 +105,8 @@ fn supervised(
     config.deterministic = deterministic;
     let mut rt = build_runtime(f, config, fleet.num_homes());
     let ingest = rt.ingest_fleet_day(fleet, 1, None, Some(query_every())).expect("ingest");
-    let report = rt.serve_supervised(ingest.envelopes, sup, chaos).expect("serve_supervised");
+    let report =
+        rt.serve_online_supervised(ingest.envelopes, sup, chaos, &[]).expect("supervised serve");
     let snap = rt.snapshot().to_json();
     (report, snap)
 }
@@ -239,7 +240,9 @@ fn poison_pill_is_quarantined_into_safe_table_fallback() {
         .schedule(ingest.envelopes.iter().map(|e| e.seq).collect::<Vec<_>>());
     let mut sup = SupervisorConfig::default();
     sup.quarantine_after = 3;
-    let report = rt.serve_supervised(ingest.envelopes.clone(), &sup, Some(&chaos)).expect("serve");
+    let report = rt
+        .serve_online_supervised(ingest.envelopes.clone(), &sup, Some(&chaos), &[])
+        .expect("serve");
 
     assert_eq!(report.recovery.quarantined.len(), 1);
     let q = &report.recovery.quarantined[0];
@@ -272,7 +275,8 @@ fn poison_pill_is_quarantined_into_safe_table_fallback() {
     // Accounting is itself deterministic: rerunning reproduces it bitwise.
     let mut rt2 = build_runtime(&f, det_config(1), fleet.num_homes());
     let ingest2 = rt2.ingest_fleet_day(&fleet, 1, None, Some(query_every())).expect("ingest");
-    let report2 = rt2.serve_supervised(ingest2.envelopes, &sup, Some(&chaos)).expect("serve");
+    let report2 =
+        rt2.serve_online_supervised(ingest2.envelopes, &sup, Some(&chaos), &[]).expect("serve");
     assert_eq!(report.recovery, report2.recovery);
     assert_eq!(report.recovery.to_json(), report2.recovery.to_json());
 }
@@ -301,7 +305,8 @@ fn exhausted_restart_budget_degrades_without_dropping_enforcement() {
         .expect("plan")
         .schedule(ingest.envelopes.iter().map(|e| e.seq).collect::<Vec<_>>());
     let total = ingest.envelopes.len();
-    let report = rt.serve_supervised(ingest.envelopes, &sup, Some(&chaos)).expect("serve");
+    let report =
+        rt.serve_online_supervised(ingest.envelopes, &sup, Some(&chaos), &[]).expect("serve");
 
     assert_eq!(report.recovery.degraded_shards, vec![0]);
     assert_eq!(report.recovery.restarts.len(), 2, "budget bounds the restarts");
@@ -340,7 +345,7 @@ fn degraded_from_start_serves_every_query_by_fallback() {
         .iter()
         .filter(|e| matches!(e.kind, jarvis_runtime::EventKind::Query { .. }))
         .count();
-    let report = rt.serve_supervised(ingest.envelopes, &sup, None).expect("serve");
+    let report = rt.serve_online_supervised(ingest.envelopes, &sup, None, &[]).expect("serve");
     assert_eq!(report.recovery.fallback_decisions as usize, queries);
     assert!(report
         .report
@@ -478,7 +483,7 @@ fn recovery_through_a_swap_is_bitwise_and_lands_on_the_active_version() {
     sup.checkpoint_every = 16;
     for shards in [1usize, 2] {
         // The uninterrupted oracle, and a plain serve_online cross-check:
-        // supervision and segment-splitting must agree bitwise.
+        // the supervised and the sequential shard loop must agree bitwise.
         let (mut oracle_rt, version) = online_runtime(&f, shards, fleet.num_homes());
         let ingest = oracle_rt.ingest_fleet_day(&fleet, 1, None, Some(query_every())).expect("ingest");
         let envelopes = ingest.envelopes;
@@ -494,7 +499,7 @@ fn recovery_through_a_swap_is_bitwise_and_lands_on_the_active_version() {
         assert_outcomes_bit_identical(
             &want.report.outcomes,
             &plain.outcomes,
-            "supervised swap vs segment-split serve_online",
+            "supervised swap vs plain serve_online",
         );
         assert_eq!(want_snap, plain_rt.snapshot().to_json());
 
@@ -534,6 +539,44 @@ fn recovery_through_a_swap_is_bitwise_and_lands_on_the_active_version() {
             "active weights must be the stored bytes, exactly"
         );
     }
+}
+
+/// A crash on the very query that opens a new epoch: the recovery replay
+/// re-parks the suffix's queries under the old epoch, and the retried
+/// query must still be answered by the policy its seq selects.
+#[test]
+fn a_crash_on_the_first_query_of_an_epoch_retries_under_that_epoch() {
+    let f = fixture();
+    let fleet = FleetGenerator::new(41, fleet_size());
+    // One long WAL suffix, so the recovery replay re-parks queries.
+    let sup = SupervisorConfig { checkpoint_every: 1 << 20, ..SupervisorConfig::default() };
+    let (mut oracle_rt, version) = online_runtime(&f, 1, fleet.num_homes());
+    let envelopes =
+        oracle_rt.ingest_fleet_day(&fleet, 1, None, Some(query_every())).expect("ingest").envelopes;
+    let queries: Vec<u64> = envelopes
+        .iter()
+        .filter(|env| matches!(env.kind, jarvis_runtime::EventKind::Query { .. }))
+        .map(|env| env.seq)
+        .collect();
+    let at_seq = queries[queries.len() / 2];
+    let swaps = [SwapPoint { at_seq, version }];
+    let want =
+        oracle_rt.serve_online_supervised(envelopes.clone(), &sup, None, &swaps).expect("oracle");
+
+    let plan = ChaosPlan {
+        seed: 3,
+        rules: vec![ChaosRule::at_seq(ChaosKind::Panic { attempts: 1 }, at_seq)],
+    };
+    let chaos = ChaosInjector::new(plan)
+        .expect("plan")
+        .schedule(envelopes.iter().map(|e| e.seq).collect::<Vec<_>>());
+    let (mut rt, _) = online_runtime(&f, 1, fleet.num_homes());
+    rt.ingest_fleet_day(&fleet, 1, None, Some(query_every())).expect("ingest");
+    let got = rt.serve_online_supervised(envelopes, &sup, Some(&chaos), &swaps).expect("serve");
+    assert_eq!(got.recovery.restarts.len(), 1);
+    assert!(got.recovery.restarts[0].replayed > 0, "the replay must re-park queries");
+    assert_outcomes_bit_identical(&want.report.outcomes, &got.report.outcomes, "swap query crash");
+    assert_eq!(oracle_rt.snapshot().to_json(), rt.snapshot().to_json());
 }
 
 // ---------------------------------------------------------------------------

@@ -282,7 +282,7 @@ fn assert_recovery_is_bitwise(
     // same stream, and its sequence counter advances identically.
     let (stream2, _) = violating_stream(f, &mut rt, fleet);
     assert_eq!(stream, stream2, "ingest must be deterministic");
-    let got = rt.serve_supervised(stream2, sup, Some(&chaos)).unwrap();
+    let got = rt.serve_online_supervised(stream2, sup, Some(&chaos), &[]).unwrap();
     let got_snap = rt.snapshot().to_json();
 
     assert_eq!(want.outcomes, got.report.outcomes, "shards={shards}: outcomes diverged");
