@@ -23,6 +23,11 @@
 //!   decision. The run doubles as the recovery-determinism gate: its
 //!   outcomes and snapshot bytes must be bitwise equal to the
 //!   uninterrupted oracle.
+//! * **Threaded recovery** — the same chaos plan through
+//!   [`ServingRuntime::serve_online_supervised`] at 4 threaded shards: the
+//!   supervisors guard the work-stealing workers, so crashes recover while
+//!   siblings steal batches. Its outcomes and snapshot bytes must be
+//!   bitwise equal to the uninterrupted oracle, recomputed on every run.
 //! * **Online recovery** (v5) — the same chaos plan with continual
 //!   learning on and two policy swaps, served through
 //!   [`ServingRuntime::serve_online_supervised`]. SPL folds grow the safe
@@ -60,7 +65,7 @@
 //! * `--check <path>` — compare against a recorded baseline and exit
 //!   non-zero when the gated batched path got more than 2× slower, the
 //!   shard-4/shard-1 p99 ratio exceeds the baseline's recorded gate,
-//!   either chaos run was not bitwise identical to its oracle, degraded-mode
+//!   any chaos run was not bitwise identical to its oracle, degraded-mode
 //!   throughput fell below the recorded ratio gate, the median swap stall
 //!   exceeded one batch window, or the drift-adaptation run regressed
 //!   (continual false alarms above frozen, or detection below 1.0).
@@ -191,22 +196,30 @@ struct RecoveryStats {
 /// continual learning is on, the stream carries two policy swaps, and the
 /// oracle is `serve_online`. SPL folds then grow the safe tables
 /// between checkpoints, so recovery must restore each dirty home's
-/// pre-fold table from its checkpoint — the copy-on-write path.
-fn run_recovery(f: &Fixture, homes: u32, online: bool) -> (Measurement, RecoveryStats) {
+/// pre-fold table from its checkpoint — the copy-on-write path. With
+/// `threaded` set, the chaos run serves 4 shards on the work-stealing
+/// workers (the oracle stays sequential, at the same shard count).
+fn run_recovery(
+    f: &Fixture,
+    homes: u32,
+    online: bool,
+    threaded: bool,
+) -> (Measurement, RecoveryStats) {
     let fleet = FleetGenerator::new(42, homes);
-    let fresh = || {
+    let shards = if threaded { 4 } else { 1 };
+    let fresh = |deterministic: bool| {
         let (mut rt, version) = if online {
-            let (rt, version) = online_rt(f, homes, 1);
+            let (rt, version) = online_rt(f, homes, shards, deterministic);
             (rt, Some(version))
         } else {
-            (build_rt(f, homes, 1, 64, true), None)
+            (build_rt(f, homes, shards, 64, deterministic), None)
         };
         let envelopes =
             rt.ingest_fleet_day(&fleet, 0, None, Some(QUERY_EVERY)).expect("ingest").envelopes;
         (rt, version, envelopes)
     };
     // Uninterrupted oracle on a fresh runtime.
-    let (mut oracle_rt, version, envelopes) = fresh();
+    let (mut oracle_rt, version, envelopes) = fresh(true);
     let n = envelopes.len() as u64;
     let swaps: Vec<SwapPoint> = version.map_or_else(Vec::new, |version| {
         vec![SwapPoint { at_seq: n / 3, version }, SwapPoint { at_seq: 2 * n / 3, version: 0 }]
@@ -221,7 +234,7 @@ fn run_recovery(f: &Fixture, homes: u32, online: bool) -> (Measurement, Recovery
 
     // The chaos run: a panic on every 499th envelope, single attempt each,
     // unlimited restart budget so every crash is recovered (not degraded).
-    let (mut rt, _, envelopes) = fresh();
+    let (mut rt, _, envelopes) = fresh(!threaded);
     let events = envelopes.len();
     let chaos = ChaosInjector::new(ChaosPlan::periodic_panic(42, 499, 1))
         .expect("chaos plan")
@@ -248,9 +261,14 @@ fn run_recovery(f: &Fixture, homes: u32, online: bool) -> (Measurement, Recovery
         restarts: got.recovery.restarts.len() as u64,
         deterministic,
     };
-    let kind = if online { "recovery-online" } else { "recovery" };
+    let kind = match (online, threaded) {
+        (false, false) => "recovery",
+        (false, true) => "recovery-threaded",
+        (true, false) => "recovery-online",
+        (true, true) => "recovery-online-threaded",
+    };
     let m = Measurement {
-        name: format!("runtime/{kind}/homes{homes}/shards1/batch64"),
+        name: format!("runtime/{kind}/homes{homes}/shards{shards}/batch64"),
         events_per_sec: events as f64 / secs,
         p50_ns: got.report.latency_percentile(0.50).unwrap_or(0),
         p99_ns: got.report.latency_percentile(0.99).unwrap_or(0),
@@ -298,8 +316,13 @@ struct SwapStats {
 
 /// An online-enabled runtime with a second policy version registered,
 /// ready for swap plans. Returns the runtime and the alt version id.
-fn online_rt(f: &Fixture, homes: u32, shards: usize) -> (ServingRuntime, u64) {
-    let mut rt = build_rt(f, homes, shards, 64, true);
+fn online_rt(
+    f: &Fixture,
+    homes: u32,
+    shards: usize,
+    deterministic: bool,
+) -> (ServingRuntime, u64) {
+    let mut rt = build_rt(f, homes, shards, 64, deterministic);
     rt.enable_online(OnlineConfig::default(), ShadowGates::default()).expect("enable online");
     let cfg = f.policy.config();
     let mut alt_cfg = DqnConfig::new(cfg.state_dim, cfg.num_actions);
@@ -318,7 +341,7 @@ fn online_rt(f: &Fixture, homes: u32, shards: usize) -> (ServingRuntime, u64) {
 /// budget is one batch window of events at the healthy serving rate —
 /// a hot-swap may cost at most the batching latency already budgeted.
 fn run_swap(f: &Fixture, healthy_rate: f64) -> (Measurement, SwapStats) {
-    let (mut rt, version) = online_rt(f, 64, 1);
+    let (mut rt, version) = online_rt(f, 64, 1, true);
     let mut stalls_ns: Vec<u64> = Vec::new();
     for i in 0..32u64 {
         let plan = [SwapPoint { at_seq: i, version }];
@@ -336,7 +359,7 @@ fn run_swap(f: &Fixture, healthy_rate: f64) -> (Measurement, SwapStats) {
     // The throughput row: the same 64-home day served through serve_online
     // with three mid-stream swaps (out to the alt version, back, and out
     // again) — continual serving with hot-swaps on the decision path.
-    let (mut rt, version) = online_rt(f, 64, 1);
+    let (mut rt, version) = online_rt(f, 64, 1, true);
     let fleet = FleetGenerator::new(42, 64);
     let envelopes =
         rt.ingest_fleet_day(&fleet, 0, None, Some(QUERY_EVERY)).expect("ingest").envelopes;
@@ -535,6 +558,7 @@ fn to_json(
     ratio: Option<f64>,
     degraded_ratio: f64,
     stats: &RecoveryStats,
+    threaded: &RecoveryStats,
     online: &RecoveryStats,
     swap: &SwapStats,
     drift: &DriftStats,
@@ -573,6 +597,10 @@ fn to_json(
         ("recovery_p50_ns".into(), Json::Float(recovery_p50 as f64)),
         ("recovery_max_ns".into(), Json::Float(recovery_max as f64)),
         ("recovery_deterministic".into(), Json::Bool(stats.deterministic)),
+        // The same chaos plan at 4 threaded shards on the work-stealing
+        // workers, checked bitwise against the uninterrupted oracle.
+        ("recovery_threaded_restarts".into(), Json::Float(threaded.restarts as f64)),
+        ("recovery_threaded_deterministic".into(), Json::Bool(threaded.deterministic)),
         // The same chaos plan with online learning on and two policy swaps,
         // checked bitwise against the serve_online oracle.
         ("recovery_online_restarts".into(), Json::Float(online.restarts as f64)),
@@ -605,13 +633,16 @@ fn to_json(
 
 /// Gate failures against a recorded baseline: throughput drops >2× on the
 /// gated rows, the shard-4/shard-1 p99 ratio against the baseline's
-/// recorded ceiling, bitwise recovery determinism, the degraded-mode
-/// throughput floor, the hot-swap stall budget, and drift adaptation.
+/// recorded ceiling, bitwise recovery determinism (sequential, threaded,
+/// online), the degraded-mode throughput floor, the hot-swap stall budget,
+/// and drift adaptation.
+#[allow(clippy::too_many_arguments)]
 fn regressions(
     results: &[Measurement],
     baseline: &Json,
     degraded_ratio: f64,
     stats: &RecoveryStats,
+    threaded: &RecoveryStats,
     online: &RecoveryStats,
     swap: &SwapStats,
     drift: &DriftStats,
@@ -657,6 +688,13 @@ fn regressions(
         failed.push(
             "recovery determinism: the chaos run's outcomes/snapshot diverged from the \
              uninterrupted oracle"
+                .to_string(),
+        );
+    }
+    if !threaded.deterministic {
+        failed.push(
+            "threaded recovery determinism: the 4-shard threaded chaos run's outcomes/snapshot \
+             diverged from the uninterrupted oracle"
                 .to_string(),
         );
     }
@@ -775,18 +813,19 @@ fn main() {
     }
 
     // Self-healing rows, always measured: supervised serving with injected
-    // panics (recovery time + determinism) and degraded-mode serving.
+    // panics (recovery time + determinism; sequential, 4-shard threaded,
+    // and online) and degraded-mode serving.
     let healthy_rate = results
         .iter()
         .find(|m| m.name == "runtime/det/homes64/shards1/batch64")
         .map_or(1.0, |m| m.events_per_sec);
-    let mut recover = |online: bool| {
-        let (row, stats) = run_recovery(&f, 64, online);
+    let mut recover = |online: bool, threaded: bool| {
+        let (row, stats) = run_recovery(&f, 64, online, threaded);
         print_row(&row);
         let p50 = stats.recovery_ns.get(stats.recovery_ns.len() / 2).copied().unwrap_or(0);
         println!(
             "{:<46} {:>9} restarts   p50 {:>9.1} µs   max {:>9.1} µs   bitwise {}",
-            row.name.replace("/homes64/shards1/batch64", "/crash_to_decision"),
+            format!("{}/crash_to_decision", row.name.split("/homes").next().unwrap_or_default()),
             stats.restarts,
             p50 as f64 / 1e3,
             stats.recovery_ns.last().copied().unwrap_or(0) as f64 / 1e3,
@@ -795,8 +834,9 @@ fn main() {
         results.push(row);
         stats
     };
-    let stats = recover(false);
-    let online_stats = recover(true);
+    let stats = recover(false, false);
+    let threaded_stats = recover(false, true);
+    let online_stats = recover(true, false);
     let degraded = run_degraded(&f, 64);
     print_row(&degraded);
     let degraded_ratio = degraded.events_per_sec / healthy_rate;
@@ -838,6 +878,7 @@ fn main() {
                 p99_ratio(&results),
                 degraded_ratio,
                 &stats,
+                &threaded_stats,
                 &online_stats,
                 &swap,
                 &drift,
@@ -855,6 +896,7 @@ fn main() {
             &baseline,
             degraded_ratio,
             &stats,
+            &threaded_stats,
             &online_stats,
             &swap,
             &drift,

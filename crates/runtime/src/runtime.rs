@@ -4,10 +4,9 @@
 use crate::event::{Envelope, EventKind, Outcome, OverloadPolicy, Rejection};
 use crate::online::{FineTuneConfig, FineTuneReport, OnlineConfig};
 use crate::policy_store::{PolicyStore, ShadowGates, ShadowRow, SwapPoint, SwapRecord};
-use crate::shard::{self, Job, PolicyView, Roster, ShardOutput, Window, WorkerShared};
+use crate::shard::{self, Job, PolicyView, Roster, ShardOutput, WorkerShared};
 use crate::slot::{HomeSlot, HomeSnapshot};
 use crate::supervisor::{RecoveryReport, ShardSupervisor, SupervisedReport, SupervisorConfig};
-use crate::wal::ShardWal;
 use jarvis::{JarvisError, OptimizerCheckpoint};
 use jarvis_policy::{MatchMode, SafeTransitionTable};
 use jarvis_rl::{DqnAgent, DqnCheckpoint, Experience, QuantizedPolicy};
@@ -729,15 +728,17 @@ impl ServingRuntime {
 
     /// Serve a stream under supervision, with an optional scheduled
     /// mid-stream policy swap plan (as in [`ServingRuntime::serve_online`];
-    /// pass `&[]` for none): every shard runs inside a `catch_unwind` panic
-    /// boundary with a write-ahead log, and failures — worker panics or
-    /// deadline-overrunning stalls, optionally injected by a
-    /// [`ChaosSchedule`] — are recovered by restoring the shard's last WAL
-    /// checkpoint, replaying the logged suffix, and retrying, with seeded
+    /// pass `&[]` for none): each shard's supervisor logs every envelope in
+    /// a write-ahead log and applies it inside a `catch_unwind` panic
+    /// boundary, and failures — worker panics or deadline-overrunning
+    /// stalls, optionally injected by a [`ChaosSchedule`] — are recovered
+    /// by answering the queries already parked, restoring the shard's last
+    /// WAL checkpoint, re-applying the logged suffix to the slots (state
+    /// only: no query is answered twice), and retrying, with seeded
     /// exponential backoff in virtual ticks (see [`SupervisorConfig`] and
     /// DESIGN.md §15). Shards log a WAL swap record as they cross each
-    /// swap, so crash recovery replays every envelope under the policy that
-    /// first served it and lands on the same active version.
+    /// swap, and every retry runs under the epoch its seq selects, so the
+    /// run lands on the same active version.
     ///
     /// Recovery is deterministic: with a transient chaos plan (attempt
     /// counts below the quarantine threshold) the supervised run's
@@ -748,19 +749,19 @@ impl ServingRuntime {
     /// ([`DecisionSource::SafeTableFallback`](crate::DecisionSource)) —
     /// enforcement never lapses.
     ///
-    /// In deterministic mode shards run sequentially on the caller's
-    /// thread; otherwise each shard owns one scoped supervised worker.
-    /// Both modes are bitwise identical (shards are independent here —
-    /// supervised serving uses no ingest rings, so `rejected` is always
-    /// empty and no queue bound applies).
+    /// Supervision runs over the same shard loops as
+    /// [`ServingRuntime::serve`]: sequentially on the caller's thread in
+    /// deterministic mode, otherwise on the work-stealing workers with
+    /// their bounded ingest rings, overload policy and stealing. Under
+    /// [`OverloadPolicy::Block`] both modes are bitwise identical,
+    /// accounting and WALs included; under [`OverloadPolicy::Shed`] a shed
+    /// event is reported in `rejected` and never reaches a shard or its WAL.
     ///
     /// # Errors
     ///
-    /// Returns [`JarvisError::Config`] for invalid supervisor settings,
-    /// events targeting unregistered homes, a shard that fails again after
-    /// exhausting its restart budget, or a swap plan
-    /// [`ServingRuntime::serve_online`] refuses, plus model/neural errors
-    /// from the slots or the policy network.
+    /// Everything [`ServingRuntime::serve_online`] returns, plus
+    /// [`JarvisError::Config`] for invalid supervisor settings or a shard
+    /// that fails again after exhausting its restart budget.
     pub fn serve_online_supervised(
         &mut self,
         events: Vec<Envelope>,
@@ -773,11 +774,12 @@ impl ServingRuntime {
     }
 
     /// The one serve core under every entry point: validate the swap plan,
-    /// rebalance placement, build the epoch roster, partition homes and
-    /// streams by shard, run one shard executor — the sequential loop, the
-    /// work-stealing workers, or the supervisors — reassemble the homes on
-    /// every exit path, merge the outcomes by seq, fold the shadow score,
-    /// and commit the swap plan.
+    /// rebalance placement, build the epoch roster, partition homes by
+    /// shard, run one shard executor — the sequential loop or the
+    /// work-stealing workers, each shard under its supervisor when
+    /// supervised — reassemble the homes on every exit path, merge the
+    /// outcomes by seq and the supervisors' accounting and WALs by shard,
+    /// fold the shadow score, and commit the swap plan.
     fn serve_core(
         &mut self,
         events: Vec<Envelope>,
@@ -824,24 +826,18 @@ impl ServingRuntime {
                 parts[shard].insert(id, slot);
             }
         }
-        let split = |events: Vec<Envelope>| {
-            let mut streams: Vec<Vec<Envelope>> = (0..shards).map(|_| Vec::new()).collect();
-            for (env, &shard) in events.into_iter().zip(&route) {
-                streams[shard].push(env);
-            }
-            streams
+        let mut supervisors: Vec<ShardSupervisor<'_>> = match supervision {
+            Some((sup, chaos)) => parts
+                .iter()
+                .enumerate()
+                .map(|(idx, part)| ShardSupervisor::new(idx, sup, chaos, part))
+                .collect(),
+            None => Vec::new(),
         };
-        let served = match supervision {
-            Some((sup, chaos)) => run_supervised(
-                &mut parts,
-                &roster,
-                split(events),
-                sup,
-                chaos,
-                self.config.deterministic,
-            ),
-            None if self.config.deterministic => run_sequential(&mut parts, &roster, split(events)),
-            None => run_stealing(&mut parts, &roster, events, &route, &self.config),
+        let served = if self.config.deterministic {
+            run_sequential(&mut parts, &roster, events, &route, &mut supervisors)
+        } else {
+            run_stealing(&mut parts, &roster, events, &route, &self.config, &mut supervisors)
         };
         // Reassemble home ownership before surfacing any error, so the
         // runtime stays usable after a failed serve or an overload abort.
@@ -849,7 +845,14 @@ impl ServingRuntime {
             self.homes.append(&mut part);
         }
 
-        let Served { outputs, rejected, recovery, wals } = served?;
+        let (outputs, rejected) = served?;
+        let mut recovery = RecoveryReport::default();
+        let mut wals = Vec::with_capacity(supervisors.len());
+        for supervisor in supervisors {
+            let (report, wal) = supervisor.finish();
+            recovery.absorb(report);
+            wals.push(wal);
+        }
         let mut outcomes = Vec::with_capacity(submitted);
         let mut latencies_ns = Vec::new();
         let mut shadow_rows: Vec<ShadowRow> = Vec::new();
@@ -1188,15 +1191,8 @@ impl ServingRuntime {
 }
 
 /// What a shard executor produced: one output per shard, in shard order,
-/// plus the router's rejections and the supervisors' accounting and WALs
-/// (empty for the executors that have none).
-#[derive(Default)]
-struct Served {
-    outputs: Vec<ShardOutput>,
-    rejected: Vec<Rejection>,
-    recovery: RecoveryReport,
-    wals: Vec<ShardWal>,
-}
+/// plus the router's rejections (none for the sequential executor).
+type Served = (Vec<ShardOutput>, Vec<Rejection>);
 
 /// Sequential execution on the caller's thread: each shard's stream through
 /// the sequential loop, no queue bounds — the bit-exact reference for any
@@ -1204,17 +1200,21 @@ struct Served {
 fn run_sequential(
     parts: &mut [BTreeMap<u64, HomeSlot>],
     roster: &Roster<'_>,
-    streams: Vec<Vec<Envelope>>,
+    events: Vec<Envelope>,
+    route: &[usize],
+    supervisors: &mut [ShardSupervisor<'_>],
 ) -> Result<Served, JarvisError> {
-    let mut served = Served::default();
-    for (part, stream) in parts.iter_mut().zip(streams) {
-        let mut out = ShardOutput::default();
-        let mut window = Window::default();
-        shard::process_sequential(part, roster, true, stream.into_iter(), &mut window, &mut out)?;
-        window.flush(roster, &mut out)?;
-        served.outputs.push(out);
+    let mut streams: Vec<Vec<Envelope>> = parts.iter().map(|_| Vec::new()).collect();
+    for (env, &shard) in events.into_iter().zip(route) {
+        streams[shard].push(env);
     }
-    Ok(served)
+    let mut supervisors = supervisors.iter_mut();
+    let outputs = parts
+        .iter_mut()
+        .zip(streams)
+        .map(|(part, stream)| shard::process_sequential(part, roster, supervisors.next(), stream))
+        .collect::<Result<_, _>>()?;
+    Ok((outputs, Vec::new()))
 }
 
 /// Threaded work-stealing execution: one scoped worker per shard behind a
@@ -1228,21 +1228,24 @@ fn run_stealing(
     events: Vec<Envelope>,
     route: &[usize],
     config: &RuntimeConfig,
+    supervisors: &mut [ShardSupervisor<'_>],
 ) -> Result<Served, JarvisError> {
     let stride = config.steal_stride;
     let throttle = Duration::from_nanos(config.worker_throttle_ns);
     let capacity = config.queue_capacity;
     let shared = WorkerShared::new(parts.len(), capacity);
-    let mut served = Served::default();
+    let mut rejected = Vec::new();
     let mut overload_err: Option<JarvisError> = None;
     let mut results: Vec<Result<ShardOutput, JarvisError>> = Vec::with_capacity(parts.len());
 
     std::thread::scope(|s| {
         let shared = &shared;
         let mut handles = Vec::with_capacity(parts.len());
+        let mut supervisors = supervisors.iter_mut();
         for (idx, part) in parts.iter_mut().enumerate() {
+            let sup = supervisors.next();
             handles.push(s.spawn(move || {
-                shard::run_worker(idx, part, roster, stride, throttle, shared)
+                shard::run_worker(idx, part, roster, sup, stride, throttle, shared)
             }));
         }
         'route: for (env, &shard_idx) in events.into_iter().zip(route) {
@@ -1269,7 +1272,7 @@ fn run_stealing(
                 },
                 OverloadPolicy::Shed => {
                     if let Err(PushError::Full(back)) = shared.ingest[shard_idx].try_push(job) {
-                        served.rejected.push(Rejection {
+                        rejected.push(Rejection {
                             seq: back.env.seq,
                             home: back.env.home,
                             shard: shard_idx,
@@ -1297,56 +1300,8 @@ fn run_stealing(
     if let Some(err) = overload_err {
         return Err(err);
     }
-    for result in results {
-        served.outputs.push(result?);
-    }
-    Ok(served)
-}
-
-/// Supervised execution: every shard under a [`ShardSupervisor`] with its
-/// own WAL — sequentially on the caller's thread in deterministic mode,
-/// one scoped worker per shard otherwise. Shards are independent here, so
-/// both are bitwise identical.
-fn run_supervised(
-    parts: &mut [BTreeMap<u64, HomeSlot>],
-    roster: &Roster<'_>,
-    streams: Vec<Vec<Envelope>>,
-    sup: &SupervisorConfig,
-    chaos: Option<&ChaosSchedule>,
-    deterministic: bool,
-) -> Result<Served, JarvisError> {
-    let run = |idx: usize, part: &mut BTreeMap<u64, HomeSlot>, stream: Vec<Envelope>| {
-        ShardSupervisor::new(idx, sup, chaos).run(part, roster, stream)
-    };
-    let jobs = parts.iter_mut().zip(streams).enumerate();
-    let results: Vec<Result<_, JarvisError>> = if deterministic {
-        jobs.map(|(idx, (part, stream))| run(idx, part, stream)).collect()
-    } else {
-        std::thread::scope(|s| {
-            let run = &run;
-            let handles: Vec<_> = jobs
-                .map(|(idx, (part, stream))| s.spawn(move || run(idx, part, stream)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| {
-                    handle.join().unwrap_or_else(|_| {
-                        Err(JarvisError::Config(
-                            "a supervised shard worker died outside its panic boundary".into(),
-                        ))
-                    })
-                })
-                .collect()
-        })
-    };
-    let mut served = Served::default();
-    for result in results {
-        let (output, recovery, wal) = result?;
-        served.outputs.push(output);
-        served.recovery.absorb(recovery);
-        served.wals.push(wal);
-    }
-    Ok(served)
+    let outputs = results.into_iter().collect::<Result<_, _>>()?;
+    Ok((outputs, rejected))
 }
 
 /// Replay one home's drained delta into its optimizer checkpoint. Pure:

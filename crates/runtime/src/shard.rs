@@ -6,12 +6,15 @@
 //!
 //! - [`process_sequential`] — the deterministic reference: one thread walks
 //!   one shard's stream, closing a decision batch whenever the window fills.
-//!   A supervisor's recovery replay runs the same loop.
 //! - [`run_worker`] — the threaded work-stealing loop: each worker drains
 //!   its own lock-free ingest ring, parks queries in a batching window,
 //!   publishes closed batches as [`InferenceTask`]s on its own run queue,
 //!   and — when its own queues are dry — *steals* batches from sibling
 //!   shards in a fixed victim order.
+//!
+//! Both loops run with or without supervision: a shard's
+//! [`ShardSupervisor`] guards each envelope in place of [`apply_event`]
+//! (WAL, panic boundary, recovery), and batch execution stays outside it.
 //!
 //! Both loops read the serve call's [`Roster`]: a scheduled policy swap
 //! takes effect at its `at_seq` inside every loop, because the window
@@ -29,6 +32,7 @@
 use crate::event::{DecisionSource, Envelope, EventKind, Outcome};
 use crate::policy_store::{ShadowRow, SwapPoint};
 use crate::slot::HomeSlot;
+use crate::supervisor::ShardSupervisor;
 use jarvis::JarvisError;
 use jarvis_iot_model::MiniAction;
 use jarvis_rl::{DqnAgent, QuantizedPolicy};
@@ -154,25 +158,22 @@ impl Window {
         self.pending.len() >= batch_window
     }
 
+    /// Number of parked queries.
+    pub(crate) fn len(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Unpark every query parked after the first `len` (a failed attempt's).
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.pending.truncate(len);
+    }
+
     /// Move the window to `epoch`, handing back the batch parked under a
     /// different epoch, if any — a batch never spans a swap.
     fn enter(&mut self, epoch: usize) -> Option<InferenceTask> {
         let closed = if epoch == self.epoch { None } else { self.close() };
         self.epoch = epoch;
         closed
-    }
-
-    /// [`Window::enter`], answering the closed batch inline.
-    pub(crate) fn advance(
-        &mut self,
-        epoch: usize,
-        roster: &Roster<'_>,
-        out: &mut ShardOutput,
-    ) -> Result<(), JarvisError> {
-        match self.enter(epoch) {
-            Some(task) => run_batch(task, roster, out),
-            None => Ok(()),
-        }
     }
 
     /// Close the window: its parked queries as one task, `None` when empty.
@@ -192,12 +193,6 @@ impl Window {
             Some(task) => run_batch(task, roster, out),
             None => Ok(()),
         }
-    }
-
-    /// Drop every parked query (a recovery rolls the window back together
-    /// with the slots).
-    pub(crate) fn clear(&mut self) {
-        self.pending.clear();
     }
 }
 
@@ -416,27 +411,46 @@ fn publish(
     }
 }
 
-/// Drive `events` through one shard sequentially, in order — the bit-exact
-/// deterministic reference for any shard count and any steal schedule, and
-/// the replay loop of a supervisor's recovery. The window is closed on
-/// every epoch change and whenever it fills; what is still parked at the
-/// end stays in `window` for the caller to flush or keep filling.
-pub(crate) fn process_sequential(
+/// Apply one event, under the shard's supervisor when it has one.
+fn step(
     slots: &mut BTreeMap<u64, HomeSlot>,
+    job: Job,
     roster: &Roster<'_>,
-    learn: bool,
-    events: impl Iterator<Item = Envelope>,
+    sup: Option<&mut ShardSupervisor<'_>>,
     window: &mut Window,
     out: &mut ShardOutput,
 ) -> Result<(), JarvisError> {
+    match sup {
+        Some(sup) => sup.guard(slots, job, roster, window, out),
+        None => apply_event(slots, job, roster.clock, true, window, out),
+    }
+}
+
+/// Drive `events` through one shard sequentially, in order — the bit-exact
+/// deterministic reference for any shard count and any steal schedule. The
+/// window is closed on every epoch change, whenever it fills, and at the
+/// end of the stream (a supervisor also closes it at its checkpoints and
+/// recoveries).
+pub(crate) fn process_sequential(
+    slots: &mut BTreeMap<u64, HomeSlot>,
+    roster: &Roster<'_>,
+    mut sup: Option<&mut ShardSupervisor<'_>>,
+    events: Vec<Envelope>,
+) -> Result<ShardOutput, JarvisError> {
+    let mut out = ShardOutput::default();
+    let mut window = Window::default();
     for env in events {
-        window.advance(roster.epoch_of(env.seq), roster, out)?;
-        apply_event(slots, Job { env, enqueued: None }, roster.clock, learn, window, out)?;
+        if let Some(task) = window.enter(roster.epoch_of(env.seq)) {
+            run_batch(task, roster, &mut out)?;
+        }
+        let job = Job { env, enqueued: None };
+        step(slots, job, roster, sup.as_deref_mut(), &mut window, &mut out)?;
         if window.is_full(roster.batch_window) {
-            window.flush(roster, out)?;
+            window.flush(roster, &mut out)?;
         }
     }
-    Ok(())
+    window.flush(roster, &mut out)?;
+    Ok(out)
 }
 
 /// Marks this shard done-publishing on every exit path — including panics
@@ -462,12 +476,13 @@ pub(crate) fn run_worker(
     idx: usize,
     slots: &mut BTreeMap<u64, HomeSlot>,
     roster: &Roster<'_>,
+    sup: Option<&mut ShardSupervisor<'_>>,
     stride: usize,
     throttle: Duration,
     shared: &WorkerShared,
 ) -> Result<ShardOutput, JarvisError> {
     let mut guard = ExitGuard { done: &shared.done[idx], abort: &shared.abort, clean: false };
-    let result = worker_loop(idx, slots, roster, stride, throttle, shared);
+    let result = worker_loop(idx, slots, roster, sup, stride, throttle, shared);
     guard.clean = result.is_ok();
     drop(guard);
     result
@@ -477,6 +492,7 @@ fn worker_loop(
     idx: usize,
     slots: &mut BTreeMap<u64, HomeSlot>,
     roster: &Roster<'_>,
+    mut sup: Option<&mut ShardSupervisor<'_>>,
     stride: usize,
     throttle: Duration,
     shared: &WorkerShared,
@@ -500,7 +516,7 @@ fn worker_loop(
                 std::thread::sleep(throttle);
             }
             publish(run_queue, window.enter(roster.epoch_of(job.env.seq)), roster, &mut out)?;
-            apply_event(slots, job, roster.clock, true, &mut window, &mut out)?;
+            step(slots, job, roster, sup.as_deref_mut(), &mut window, &mut out)?;
             if window.is_full(roster.batch_window) {
                 publish(run_queue, window.close(), roster, &mut out)?;
             }

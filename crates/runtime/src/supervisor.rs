@@ -1,14 +1,20 @@
 //! The supervision layer that makes the serving runtime self-healing.
 //!
-//! Every shard's event loop runs inside a `catch_unwind` panic boundary.
-//! When processing an envelope dies — a worker panic, or a stall that
-//! overruns the virtual deadline — the supervisor recovers it
-//! deterministically: restore the shard's last [`ShardWal`] checkpoint,
-//! replay the logged envelope suffix (bitwise-identical outcomes, because
-//! serving draws no randomness), and retry the failing envelope after a
-//! seeded exponential backoff charged in *virtual ticks* — the supervised
-//! path performs zero wall-clock calls unless a telemetry clock is
-//! injected (lint rule R2).
+//! A [`ShardSupervisor`] is a per-envelope guard: both shard loops (the
+//! sequential one and the work-stealing workers) call it in place of
+//! applying an event. It logs the envelope in the shard's [`ShardWal`]
+//! first, then applies it inside a `catch_unwind` panic boundary; batch
+//! execution stays outside the boundary. When applying an envelope dies —
+//! a worker panic, or a stall that overruns the virtual deadline — the
+//! supervisor recovers deterministically, and never un-answers a decision:
+//! it drops only what the failed attempt added, answers the queries still
+//! parked (their snapshots predate the failure), restores the checkpoint
+//! and re-applies the logged suffix to the slots with every output
+//! discarded, then retries the envelope after a seeded exponential backoff
+//! charged in *virtual ticks* — the supervised path performs zero
+//! wall-clock calls unless a telemetry clock is injected (lint rule R2).
+//! Decisions already answered, whichever worker answered them, stand: the
+//! rebuilt state is bitwise the state they were snapshotted from.
 //!
 //! Failure containment is layered (DESIGN.md §15):
 //!
@@ -122,7 +128,7 @@ pub enum FailureCause {
 
 json_enum!(FailureCause { Panic, DeadlineOverrun });
 
-/// One shard restart: failure, backoff, restore, replay, retry.
+/// One shard restart: failure, backoff, restore, state replay, retry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RestartRecord {
     /// The recovered shard.
@@ -135,7 +141,7 @@ pub struct RestartRecord {
     pub failures: u32,
     /// Virtual ticks of seeded exponential backoff charged before retry.
     pub backoff_ticks: u64,
-    /// WAL entries replayed to rebuild the shard's state.
+    /// WAL entries re-applied to rebuild the shard's slot state.
     pub replayed: usize,
 }
 
@@ -215,8 +221,9 @@ impl RecoveryReport {
 /// A [`ServeReport`] plus the supervisor's recovery accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SupervisedReport {
-    /// The ordinary serve results (outcomes sorted by seq; `rejected` is
-    /// always empty — supervised serving has no bounded ingest rings).
+    /// The ordinary serve results: outcomes sorted by seq, and — threaded
+    /// supervised serving runs on the bounded ingest rings — every event
+    /// shed under [`crate::OverloadPolicy::Shed`] in `rejected`.
     pub report: ServeReport,
     /// What the supervisor did.
     pub recovery: RecoveryReport,
@@ -247,24 +254,17 @@ enum Attempt {
     Panicked,
 }
 
-/// Per-shard supervision state and accounting.
+/// One shard's supervision state, WAL and accounting: the per-envelope
+/// guard both shard loops call in place of [`shard::apply_event`].
 pub(crate) struct ShardSupervisor<'a> {
     shard: usize,
     sup: &'a SupervisorConfig,
     chaos: Option<&'a ChaosSchedule>,
-    /// Times chaos has fired per armed seq; a fire is live while its count
-    /// is below the rule's `attempts`. Models the external failure process,
-    /// so it is *never* rolled back by recovery.
-    fired: BTreeMap<u64, u32>,
-    /// Consecutive failures per seq (resets never — seqs are unique).
-    failures: BTreeMap<u64, u32>,
+    wal: ShardWal,
     quarantined: BTreeSet<u64>,
     degraded: bool,
     restarts_used: u32,
     backoff_rng: ChaCha8Rng,
-    /// Telemetry stamp of the crash whose recovery retry is in flight;
-    /// closed (crash → first post-recovery decision) once the retry lands.
-    pending_recovery_stamp: Option<u64>,
     /// Per-home `(folds, admitted)` already committed to the WAL record
     /// trail. Recovery replays re-run folds in slot state but never move a
     /// counter past its committed value, so records are exactly-once.
@@ -275,10 +275,13 @@ pub(crate) struct ShardSupervisor<'a> {
 }
 
 impl<'a> ShardSupervisor<'a> {
+    /// Supervise the shard owning `slots`, its WAL opened at a checkpoint of
+    /// every slot.
     pub(crate) fn new(
         shard: usize,
         sup: &'a SupervisorConfig,
         chaos: Option<&'a ChaosSchedule>,
+        slots: &BTreeMap<u64, HomeSlot>,
     ) -> Self {
         // SplitMix-style fold keeps per-shard jitter streams independent.
         let mut z = sup.backoff_seed ^ (shard as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -287,22 +290,165 @@ impl<'a> ShardSupervisor<'a> {
             shard,
             sup,
             chaos,
-            fired: BTreeMap::new(),
-            failures: BTreeMap::new(),
+            wal: ShardWal::new(shard, slots.values().map(HomeSlot::snapshot).collect()),
             quarantined: BTreeSet::new(),
             degraded: sup.policy_offline,
             restarts_used: 0,
             backoff_rng: ChaCha8Rng::seed_from_u64(z),
-            pending_recovery_stamp: None,
-            recorded_folds: BTreeMap::new(),
+            // Folds that predate this serve call (resumed snapshots) are not
+            // this WAL's to report.
+            recorded_folds: slots
+                .iter()
+                .filter_map(|(&id, slot)| Some((id, slot.online_stats()?)))
+                .collect(),
             recorded_swaps: 0,
             recovery: RecoveryReport::default(),
         }
     }
 
-    /// The chaos fire armed for `seq` right now, if any: scheduled, still
-    /// below its attempt count, and the shard's neural path is still up.
-    fn armed(&self, seq: u64) -> Option<ChaosKind> {
+    /// The shard's accounting and final WAL.
+    pub(crate) fn finish(self) -> (RecoveryReport, ShardWal) {
+        (self.recovery, self.wal)
+    }
+
+    /// Guard one envelope: log it ahead of any attempt, commit the swap
+    /// points its epoch crossed, apply it inside the panic boundary (or
+    /// answer it by fallback on a degraded shard), recover from failures,
+    /// commit the folds it landed, and checkpoint on cadence.
+    pub(crate) fn guard(
+        &mut self,
+        slots: &mut BTreeMap<u64, HomeSlot>,
+        job: Job,
+        roster: &Roster<'_>,
+        window: &mut Window,
+        out: &mut ShardOutput,
+    ) -> Result<(), JarvisError> {
+        let env = &job.env;
+        self.wal.append(env.clone());
+        let epoch = roster.epoch_of(env.seq);
+        while self.recorded_swaps < epoch.min(roster.swaps.len()) {
+            let sp = roster.swaps[self.recorded_swaps];
+            self.wal.append_record(WalRecord::Swap { at_seq: sp.at_seq, version: sp.version });
+            self.recorded_swaps += 1;
+        }
+        if self.degraded && matches!(env.kind, EventKind::Query { .. }) {
+            self.fallback_decision(slots, env, out)?;
+        } else {
+            self.supervise(slots, &job, roster, window, out)?;
+        }
+        // Commit any fold this envelope landed — after the slot mutation
+        // survived every failure path, never before.
+        self.commit_fold_records(slots, env.home);
+        if self.wal.len() as u64 >= self.sup.checkpoint_every {
+            // Answer the parked queries first: the close bounds window
+            // residency, and keeps the snapshot cost out of their latency.
+            window.flush(roster, out)?;
+            self.wal.checkpoint(slots);
+            self.recovery.checkpoints += 1;
+        }
+        Ok(())
+    }
+
+    /// Apply `job` until it lands, recovering after every failed attempt:
+    /// drop what the attempt added, answer the queries still parked (their
+    /// snapshots predate the failure), rebuild the slots from the WAL, then
+    /// retry — or quarantine the query, or degrade the shard.
+    fn supervise(
+        &mut self,
+        slots: &mut BTreeMap<u64, HomeSlot>,
+        job: &Job,
+        roster: &Roster<'_>,
+        window: &mut Window,
+        out: &mut ShardOutput,
+    ) -> Result<(), JarvisError> {
+        let env = &job.env;
+        let clock = roster.clock;
+        let is_query = matches!(env.kind, EventKind::Query { .. });
+        let mut fired = 0u32;
+        let mut failures = 0u32;
+        let mut crashed_at = None;
+        loop {
+            let marks = (out.outcomes.len(), window.len());
+            let cause = match self.attempt(slots, job, clock, &mut fired, window, out)? {
+                Attempt::Applied => break,
+                Attempt::Overrun => FailureCause::DeadlineOverrun,
+                Attempt::Panicked => FailureCause::Panic,
+            };
+            crashed_at = clock.map(|now| now());
+            failures += 1;
+            // Drop only what the failed attempt added, then answer the
+            // queries still parked now, so recovery time stays out of their
+            // latency: their snapshots predate the failure.
+            out.outcomes.truncate(marks.0);
+            window.truncate(marks.1);
+            window.flush(roster, out)?;
+            let replayed = self.restore_and_replay(slots)?;
+            if is_query && failures >= self.sup.quarantine_after {
+                // Poison pill: stop retrying, serve the safe-table answer.
+                self.quarantined.insert(env.seq);
+                self.recovery.quarantined.push(QuarantineRecord {
+                    shard: self.shard,
+                    seq: env.seq,
+                    home: env.home,
+                    failures,
+                });
+                self.fallback_decision(slots, env, out)?;
+                break;
+            }
+            if self.restarts_used >= self.sup.restart_budget {
+                // Budget exhausted: the neural path goes offline for the
+                // rest of the call.
+                self.degraded = true;
+                self.recovery.degraded_shards.push(self.shard);
+                if is_query {
+                    self.fallback_decision(slots, env, out)?;
+                } else if !matches!(
+                    self.attempt(slots, job, clock, &mut fired, window, out)?,
+                    Attempt::Applied
+                ) {
+                    // Monitor-path work continues directly (chaos no longer
+                    // fires); a *real* panic here has no budget left to
+                    // recover with — fail loudly, never drop.
+                    return Err(JarvisError::Config(format!(
+                        "shard {} failed at seq {} after its restart budget was exhausted",
+                        self.shard, env.seq
+                    )));
+                }
+                break;
+            }
+            // Ordinary restart: seeded exponential backoff in virtual ticks,
+            // then retry on the rebuilt state.
+            self.restarts_used += 1;
+            let shift = u32::min(self.restarts_used - 1, 32);
+            let backoff_ticks = self
+                .sup
+                .backoff_base_ticks
+                .saturating_mul(1u64 << shift)
+                .saturating_add(self.backoff_rng.gen_range(0..self.sup.backoff_base_ticks));
+            self.recovery.virtual_ticks += backoff_ticks;
+            self.recovery.restarts.push(RestartRecord {
+                shard: self.shard,
+                seq: env.seq,
+                cause,
+                failures,
+                backoff_ticks,
+                replayed,
+            });
+        }
+        // A recovery just landed: answer the retried query now, and stamp
+        // crash → first post-recovery decision.
+        if failures > 0 {
+            window.flush(roster, out)?;
+            if let (Some(now), Some(t0)) = (clock, crashed_at) {
+                self.recovery.recovery_ns.push(now().saturating_sub(t0));
+            }
+        }
+        Ok(())
+    }
+
+    /// The chaos fire armed for `seq` after `fired` fires, if any: scheduled,
+    /// still below its attempt count, and the shard's neural path is up.
+    fn armed(&self, seq: u64, fired: u32) -> Option<ChaosKind> {
         if self.degraded {
             return None;
         }
@@ -310,12 +456,83 @@ impl<'a> ShardSupervisor<'a> {
         let attempts = match fire.kind {
             ChaosKind::Panic { attempts } | ChaosKind::Stall { attempts, .. } => attempts,
         };
-        (self.fired.get(&seq).copied().unwrap_or(0) < attempts).then_some(fire.kind)
+        (fired < attempts).then_some(fire.kind)
+    }
+
+    /// One guarded attempt at applying `job`: arm any scheduled chaos,
+    /// apply the event inside a panic boundary, and classify the result.
+    /// `fired` counts the envelope's chaos fires; it models the external
+    /// failure process, so recovery never rolls it back.
+    fn attempt(
+        &mut self,
+        slots: &mut BTreeMap<u64, HomeSlot>,
+        job: &Job,
+        clock: Option<fn() -> u64>,
+        fired: &mut u32,
+        window: &mut Window,
+        out: &mut ShardOutput,
+    ) -> Result<Attempt, JarvisError> {
+        let seq = job.env.seq;
+        let armed = self.armed(seq, *fired);
+        if let Some(ChaosKind::Stall { ticks, .. }) = armed {
+            *fired += 1;
+            self.recovery.virtual_ticks += ticks;
+            if ticks > self.sup.deadline_ticks {
+                // The watchdog kills the hung worker before the envelope
+                // touches any state.
+                return Ok(Attempt::Overrun);
+            }
+            self.recovery.tolerated_stall_ticks += ticks;
+        }
+        let learn = !self.degraded;
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            let job = Job { env: job.env.clone(), enqueued: job.enqueued };
+            let applied = shard::apply_event(slots, job, clock, learn, window, out);
+            if applied.is_ok() {
+                if let Some(ChaosKind::Panic { .. }) = armed {
+                    // Fire *after* the event mutated the slot: recovery must
+                    // genuinely discard dirty state, not skip clean state.
+                    *fired += 1;
+                    resume_unwind(Box::new(ChaosPanicPayload { seq }));
+                }
+            }
+            applied
+        }));
+        match caught {
+            Ok(Ok(())) => {
+                self.recovery.virtual_ticks += 1;
+                Ok(Attempt::Applied)
+            }
+            Ok(Err(err)) => Err(err),
+            Err(_payload) => Ok(Attempt::Panicked),
+        }
+    }
+
+    /// Restore the WAL checkpoint (the dirty homes only — see
+    /// [`ShardWal::restore`]) and re-apply the logged suffix to the slots,
+    /// discarding every output: recovery rebuilds state and never answers a
+    /// query again. Learning is off for quarantined seqs, as it was for
+    /// their fallback answers, and on a degraded shard. Returns the number
+    /// of envelopes replayed.
+    fn restore_and_replay(
+        &self,
+        slots: &mut BTreeMap<u64, HomeSlot>,
+    ) -> Result<usize, JarvisError> {
+        self.wal.restore(slots)?;
+        let suffix = self.wal.replay_suffix();
+        let (mut window, mut out) = (Window::default(), ShardOutput::default());
+        for env in suffix {
+            let learn = !self.degraded && !self.quarantined.contains(&env.seq);
+            let job = Job { env: env.clone(), enqueued: None };
+            shard::apply_event(slots, job, None, learn, &mut window, &mut out)?;
+        }
+        Ok(suffix.len())
     }
 
     /// Emit the degraded-mode answer for a query: the always-valid no-op
     /// from the SPL safe table, with full bookkeeping on the slot.
     fn fallback_decision(
+        &mut self,
         slots: &mut BTreeMap<u64, HomeSlot>,
         env: &Envelope,
         out: &mut ShardOutput,
@@ -338,95 +555,8 @@ impl<'a> ShardSupervisor<'a> {
             rank: 0,
             source: DecisionSource::SafeTableFallback,
         });
+        self.recovery.fallback_decisions += 1;
         Ok(())
-    }
-
-    /// Restore the WAL checkpoint (the dirty homes only — see
-    /// [`ShardWal::restore`]) and replay the logged suffix through the
-    /// sequential shard loop, truncating the output back to the checkpoint
-    /// marks first. Replayed envelopes are re-served under the exact policy
-    /// epoch that first served them ([`Roster::epoch_of`]); quarantined
-    /// queries get their fallback answer again. Returns the number of
-    /// envelopes replayed.
-    fn restore_and_replay(
-        &mut self,
-        slots: &mut BTreeMap<u64, HomeSlot>,
-        roster: &Roster<'_>,
-        wal: &ShardWal,
-        marks: (usize, usize, usize),
-        window: &mut Window,
-        out: &mut ShardOutput,
-    ) -> Result<usize, JarvisError> {
-        out.outcomes.truncate(marks.0);
-        out.latencies_ns.truncate(marks.1);
-        out.shadow.truncate(marks.2);
-        window.clear();
-        wal.restore(slots)?;
-        let suffix = wal.replay_suffix();
-        let learn = !self.degraded;
-        for run in suffix.split_inclusive(|env| self.quarantined.contains(&env.seq)) {
-            let (run, quarantined) = match run.split_last() {
-                Some((env, head)) if self.quarantined.contains(&env.seq) => (head, Some(env)),
-                _ => (run, None),
-            };
-            shard::process_sequential(slots, roster, learn, run.iter().cloned(), window, out)?;
-            if let Some(env) = quarantined {
-                Self::fallback_decision(slots, env, out)?;
-            }
-        }
-        Ok(suffix.len())
-    }
-
-    /// One guarded attempt at processing `env`: arm any scheduled chaos,
-    /// apply the event inside a panic boundary, and classify the result.
-    fn attempt(
-        &mut self,
-        slots: &mut BTreeMap<u64, HomeSlot>,
-        env: &Envelope,
-        clock: Option<fn() -> u64>,
-        window: &mut Window,
-        out: &mut ShardOutput,
-    ) -> Result<Attempt, JarvisError> {
-        let armed = self.armed(env.seq);
-        if let Some(ChaosKind::Stall { ticks, .. }) = armed {
-            *self.fired.entry(env.seq).or_insert(0) += 1;
-            self.recovery.virtual_ticks += ticks;
-            if ticks > self.sup.deadline_ticks {
-                // The watchdog kills the hung worker before the envelope
-                // touches any state; recovery replays and retries it.
-                return Ok(Attempt::Overrun);
-            }
-            self.recovery.tolerated_stall_ticks += ticks;
-        }
-        let learn = !self.degraded;
-        let fired = &mut self.fired;
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            let applied = shard::apply_event(
-                slots,
-                Job { env: env.clone(), enqueued: None },
-                clock,
-                learn,
-                window,
-                out,
-            );
-            if applied.is_ok() {
-                if let Some(ChaosKind::Panic { .. }) = armed {
-                    // Fire *after* the event mutated the slot: recovery must
-                    // genuinely discard dirty state, not skip clean state.
-                    *fired.entry(env.seq).or_insert(0) += 1;
-                    resume_unwind(Box::new(ChaosPanicPayload { seq: env.seq }));
-                }
-            }
-            applied
-        }));
-        match caught {
-            Ok(Ok(())) => {
-                self.recovery.virtual_ticks += 1;
-                Ok(Attempt::Applied)
-            }
-            Ok(Err(err)) => Err(err),
-            Err(_payload) => Ok(Attempt::Panicked),
-        }
     }
 
     /// Commit any fold the slot performed while handling the last envelope
@@ -434,215 +564,17 @@ impl<'a> ShardSupervisor<'a> {
     /// committed marks on first application — recovery replays rebuild slot
     /// state up to (never beyond) the committed counters — so each fold is
     /// recorded exactly once, at the envelope that first landed it.
-    fn commit_fold_records(
-        &mut self,
-        slots: &BTreeMap<u64, HomeSlot>,
-        home: u64,
-        wal: &mut ShardWal,
-    ) {
+    fn commit_fold_records(&mut self, slots: &BTreeMap<u64, HomeSlot>, home: u64) {
         let Some(slot) = slots.get(&home) else { return };
         let Some((folds, admitted)) = slot.online_stats() else { return };
         let committed = self.recorded_folds.entry(home).or_insert((0, 0));
         if folds > committed.0 {
-            wal.append_record(WalRecord::Fold {
+            self.wal.append_record(WalRecord::Fold {
                 home,
                 fold: folds,
                 admitted: admitted - committed.1,
             });
             *committed = (folds, admitted);
         }
-    }
-
-    /// Drive one shard's whole stream under supervision.
-    pub(crate) fn run(
-        mut self,
-        slots: &mut BTreeMap<u64, HomeSlot>,
-        roster: &Roster<'_>,
-        stream: Vec<Envelope>,
-    ) -> Result<(ShardOutput, RecoveryReport, ShardWal), JarvisError> {
-        let clock = roster.clock;
-        let mut out = ShardOutput::default();
-        let mut window = Window::default();
-        let mut wal =
-            ShardWal::new(self.shard, slots.values().map(HomeSlot::snapshot).collect());
-        let mut marks = (0usize, 0usize, 0usize);
-        let mut since_checkpoint = 0u64;
-        // Folds that predate this serve call (resumed snapshots) are not
-        // this WAL's to report.
-        for (id, slot) in slots.iter() {
-            if let Some(stats) = slot.online_stats() {
-                self.recorded_folds.insert(*id, stats);
-            }
-        }
-
-        for env in stream {
-            // Write-ahead: the envelope is durable before any attempt.
-            wal.append(env.clone());
-
-            // Commit swap points this envelope's epoch has crossed, then
-            // flush the batching window if the epoch moved — a batch never
-            // spans a swap, so every query is answered by the policy that
-            // was active at its seq.
-            let epoch = roster.epoch_of(env.seq);
-            while self.recorded_swaps < epoch.min(roster.swaps.len()) {
-                let sp = roster.swaps[self.recorded_swaps];
-                wal.append_record(WalRecord::Swap { at_seq: sp.at_seq, version: sp.version });
-                self.recorded_swaps += 1;
-            }
-            window.advance(epoch, roster, &mut out)?;
-
-            if self.quarantined.contains(&env.seq)
-                || (self.degraded && matches!(env.kind, EventKind::Query { .. }))
-            {
-                Self::fallback_decision(slots, &env, &mut out)?;
-                since_checkpoint += 1;
-            } else {
-                loop {
-                    match self.attempt(slots, &env, clock, &mut window, &mut out)? {
-                        Attempt::Applied => {
-                            since_checkpoint += 1;
-                            break;
-                        }
-                        kind @ (Attempt::Overrun | Attempt::Panicked) => {
-                            let cause = match kind {
-                                Attempt::Overrun => FailureCause::DeadlineOverrun,
-                                _ => FailureCause::Panic,
-                            };
-                            let crashed_at = clock.map(|now| now());
-                            let failures = {
-                                let f = self.failures.entry(env.seq).or_insert(0);
-                                *f += 1;
-                                *f
-                            };
-                            let is_query = matches!(env.kind, EventKind::Query { .. });
-                            if is_query && failures >= self.sup.quarantine_after {
-                                // Poison pill: stop retrying, serve the
-                                // safe-table answer, move on.
-                                self.restore_and_replay(
-                                    slots, roster, &wal, marks, &mut window, &mut out,
-                                )?;
-                                self.quarantined.insert(env.seq);
-                                self.recovery.quarantined.push(QuarantineRecord {
-                                    shard: self.shard,
-                                    seq: env.seq,
-                                    home: env.home,
-                                    failures,
-                                });
-                                Self::fallback_decision(slots, &env, &mut out)?;
-                                since_checkpoint += 1;
-                                if let (Some(now), Some(t0)) = (clock, crashed_at) {
-                                    self.recovery.recovery_ns.push(now().saturating_sub(t0));
-                                }
-                                break;
-                            }
-                            if self.restarts_used >= self.sup.restart_budget {
-                                // Budget exhausted: the neural path goes
-                                // offline for the rest of the call.
-                                self.restore_and_replay(
-                                    slots, roster, &wal, marks, &mut window, &mut out,
-                                )?;
-                                self.degraded = true;
-                                self.recovery.degraded_shards.push(self.shard);
-                                if is_query {
-                                    Self::fallback_decision(slots, &env, &mut out)?;
-                                } else {
-                                    // Monitor-path work continues directly;
-                                    // chaos no longer fires (`armed` checks
-                                    // the degraded flag). A *real* panic
-                                    // here has no budget left to recover
-                                    // with — fail loudly, never drop.
-                                    match self
-                                        .attempt(slots, &env, clock, &mut window, &mut out)?
-                                    {
-                                        Attempt::Applied => {}
-                                        Attempt::Overrun | Attempt::Panicked => {
-                                            return Err(JarvisError::Config(format!(
-                                                "shard {} failed at seq {} after its \
-                                                 restart budget was exhausted",
-                                                self.shard, env.seq
-                                            )));
-                                        }
-                                    }
-                                }
-                                since_checkpoint += 1;
-                                if let (Some(now), Some(t0)) = (clock, crashed_at) {
-                                    self.recovery.recovery_ns.push(now().saturating_sub(t0));
-                                }
-                                break;
-                            }
-                            // Ordinary restart: seeded exponential backoff
-                            // in virtual ticks, restore, replay, retry.
-                            self.restarts_used += 1;
-                            let shift = u32::min(self.restarts_used - 1, 32);
-                            let backoff_ticks = self
-                                .sup
-                                .backoff_base_ticks
-                                .saturating_mul(1u64 << shift)
-                                .saturating_add(
-                                    self.backoff_rng.gen_range(0..self.sup.backoff_base_ticks),
-                                );
-                            self.recovery.virtual_ticks += backoff_ticks;
-                            let replayed = self.restore_and_replay(
-                                slots, roster, &wal, marks, &mut window, &mut out,
-                            )?;
-                            // The replay leaves the window under the last
-                            // replayed envelope's epoch; the retry parks
-                            // into this envelope's.
-                            window.advance(epoch, roster, &mut out)?;
-                            self.recovery.restarts.push(RestartRecord {
-                                shard: self.shard,
-                                seq: env.seq,
-                                cause,
-                                failures,
-                                backoff_ticks,
-                                replayed,
-                            });
-                            // Answer the aged queries as soon as the retry
-                            // lands (next loop iteration), and stamp the
-                            // crash → first-decision recovery time.
-                            if let Some(t0) = crashed_at {
-                                // Retry happens on the next loop pass; the
-                                // stamp closes there via `recovery_pending`.
-                                self.pending_recovery_stamp = Some(t0);
-                            }
-                        }
-                    }
-                }
-                // A recovery retry just landed: flush the window so the aged
-                // queries (including the retried one) decide *now*, and
-                // close the crash → first-decision stamp.
-                if let Some(t0) = self.pending_recovery_stamp.take() {
-                    window.flush(roster, &mut out)?;
-                    if let Some(now) = clock {
-                        self.recovery.recovery_ns.push(now().saturating_sub(t0));
-                    }
-                }
-            }
-
-            // Commit any fold this envelope landed — after the slot
-            // mutation survived every failure path, never before.
-            self.commit_fold_records(slots, env.home, &mut wal);
-
-            if since_checkpoint >= self.sup.checkpoint_every {
-                // Flush the window first so the checkpoint is a batch
-                // boundary and the WAL suffix stays self-contained.
-                window.flush(roster, &mut out)?;
-                wal.checkpoint(slots);
-                marks = (out.outcomes.len(), out.latencies_ns.len(), out.shadow.len());
-                self.recovery.checkpoints += 1;
-                since_checkpoint = 0;
-            }
-        }
-
-        // End of stream: answer whatever is still parked.
-        window.flush(roster, &mut out)?;
-        self.recovery.fallback_decisions = out
-            .outcomes
-            .iter()
-            .filter(|o| {
-                matches!(o, Outcome::Decision { source: DecisionSource::SafeTableFallback, .. })
-            })
-            .count() as u64;
-        Ok((out, self.recovery, wal))
     }
 }

@@ -6,9 +6,10 @@
 //! it — classic write-ahead discipline — so after a caught panic the log
 //! always contains the complete suffix of work since the checkpoint,
 //! including the envelope that failed. Recovery is then purely mechanical:
-//! restore the checkpoint, replay every logged envelope but the last
-//! (regenerating bitwise-identical outcomes, because serving draws no
-//! randomness), and retry the last one.
+//! restore the checkpoint, re-apply every logged envelope but the last to
+//! the slots (state only: outcomes are discarded, because every decision
+//! the suffix produced was already answered from a snapshot of this same
+//! state), and retry the last one.
 //!
 //! Checkpoints and recovery cost what changed, not what the shard owns.
 //! Serving an envelope touches only its own home's slot (decision batches
@@ -23,12 +24,12 @@
 //!
 //! The log is an in-memory structure serialized through stdkit's strict
 //! JSON codec ([`jarvis_stdkit::json`]), so a WAL — checkpoint, suffix and
-//! all — round-trips byte-for-byte. Checkpoints are only taken at batch
-//! boundaries (the supervisor flushes the pending decision window first),
-//! which keeps the replay self-contained: every query a replay re-parks
-//! has its source envelope in the log. Forcing a batch closed at a
-//! checkpoint cannot change any decision — batch grouping only clusters
-//! pure per-row forwards (DESIGN.md §13).
+//! all — round-trips byte-for-byte. A checkpoint may fall anywhere, even
+//! with queries parked: the replay re-parks nothing, and a parked query's
+//! snapshot already holds everything its decision needs. The shard loops
+//! still close the batching window at each checkpoint, to bound window
+//! residency; that close cannot change any decision — batch grouping only
+//! clusters pure per-row forwards (DESIGN.md §13).
 
 use crate::event::Envelope;
 use crate::slot::{HomeSlot, HomeSnapshot};
@@ -151,8 +152,9 @@ impl ShardWal {
         Ok(())
     }
 
-    /// The envelopes to re-apply during recovery: every logged entry except
-    /// the failing last one (which the supervisor retries separately).
+    /// The envelopes whose state effects recovery re-applies: every logged
+    /// entry except the failing last one (which the supervisor retries
+    /// separately).
     /// Empty when the failure hit the first envelope after a checkpoint.
     #[must_use]
     pub fn replay_suffix(&self) -> &[Envelope] {

@@ -2,6 +2,9 @@
 //! batching mode, or placement, the served outcome stream is bitwise
 //! identical to the single-shard oracle — stealing moves work, never
 //! answers.
+//!
+//! The fixture's learning phase scales down under Miri (`cfg(miri)`); the
+//! properties checked are identical.
 
 use jarvis::{Jarvis, JarvisConfig, OptimizerConfig};
 use jarvis_policy::SafeTransitionTable;
@@ -25,7 +28,8 @@ fn fixture() -> Fixture {
     let home = SmartHome::evaluation_home();
     let config = JarvisConfig { optimizer: OptimizerConfig::fast(), ..JarvisConfig::default() };
     let mut jarvis = Jarvis::new(home.clone(), config);
-    jarvis.learning_phase(&HomeDataset::home_a(3), 0..2).expect("learning phase");
+    let learn_days = if cfg!(miri) { 0..1 } else { 0..2 };
+    jarvis.learning_phase(&HomeDataset::home_a(3), learn_days).expect("learning phase");
     jarvis.learn_policies().expect("SPL");
     let table = jarvis.outcome().expect("outcome").table.clone();
 

@@ -18,6 +18,7 @@ use jarvis_sim::{
 };
 use jarvis_smart_home::SmartHome;
 use jarvis_stdkit::json::ToJson;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A home catalogue, a table learned from a short learning phase, and a
 /// policy agent sized for that home.
@@ -184,6 +185,125 @@ fn threaded_supervised_matches_deterministic_supervised() {
     );
     assert_eq!(det_snap, thr_snap);
     assert_eq!(det.recovery, thr.recovery, "recovery accounting must be mode-invariant");
+
+    // Stolen batches under recovery: throttled workers and a hot home make
+    // siblings steal 4-query batches, and 128-envelope checkpoints make
+    // each crash's replay suffix span batches another worker already ran,
+    // across two swaps with a shadow candidate scored alongside.
+    for shards in [2usize, 4] {
+        let det = stolen_batch_run(&f, &fleet, &plan, shards, true);
+        let thr = stolen_batch_run(&f, &fleet, &plan, shards, false);
+        let what = format!("{shards} shards, stolen batches under recovery");
+        assert!(!det.report.recovery.restarts.is_empty(), "{what}: panics must fire");
+        let (want, got) = (&det.report.report.outcomes, &thr.report.report.outcomes);
+        assert_outcomes_bit_identical(want, got, &what);
+        assert_eq!(det.snap, thr.snap, "{what}: snapshot bytes differ");
+        assert_eq!(det.report.recovery, thr.report.recovery, "{what}: recovery accounting differs");
+        let wal_json = |run: &StolenBatchRun| -> Vec<String> {
+            run.report.wals.iter().map(ToJson::to_json).collect()
+        };
+        assert_eq!(wal_json(&det), wal_json(&thr), "{what}: WALs differ");
+        assert_eq!(det.score, thr.score, "{what}: shadow score differs");
+        for run in [&det, &thr] {
+            assert_eq!(run.report.report.total_accounted(), run.submitted, "{what}: lost events");
+        }
+    }
+}
+
+/// One supervised run of [`stolen_batch_run`] and what it is compared on.
+struct StolenBatchRun {
+    report: jarvis_runtime::SupervisedReport,
+    snap: String,
+    score: String,
+    submitted: usize,
+}
+
+/// Serve the fleet day plus a hot home 0 (re-ingested with a query every
+/// few minutes, so load-aware placement gives it a shard of its own) under
+/// supervision: throttled workers, 4-query windows, a checkpoint every 128
+/// envelopes, an unlimited restart budget, two swaps, a staged candidate.
+fn stolen_batch_run(
+    f: &Fixture,
+    fleet: &FleetGenerator,
+    plan: &ChaosPlan,
+    shards: usize,
+    deterministic: bool,
+) -> StolenBatchRun {
+    let mut config = det_config(shards);
+    config.deterministic = deterministic;
+    config.batch_window = 4;
+    config.worker_throttle_ns = 20_000;
+    let (mut rt, alt) = online_runtime_on(f, config, OnlineConfig::default(), fleet.num_homes());
+    let mut cfg = f.policy.config().clone();
+    cfg.seed = 123;
+    let candidate = DqnAgent::new(cfg).expect("candidate policy").checkpoint();
+    let store = rt.policy_store_mut().expect("store");
+    let candidate = store.register(candidate);
+    store.stage(candidate).expect("stage candidate");
+
+    let mut stream =
+        rt.ingest_fleet_day(fleet, 1, None, Some(query_every())).expect("ingest").envelopes;
+    let hot_every = if cfg!(miri) { 60 } else { 4 };
+    let hot = rt.ingest_day(0, &fleet.dataset(0), 1, None, Some(hot_every)).expect("hot home");
+    stream.extend(hot.envelopes);
+    let queries: Vec<u64> = stream
+        .iter()
+        .filter(|env| matches!(env.kind, jarvis_runtime::EventKind::Query { .. }))
+        .map(|env| env.seq)
+        .collect();
+    let swaps = [
+        SwapPoint { at_seq: queries[queries.len() / 3], version: alt },
+        SwapPoint { at_seq: queries[2 * queries.len() / 3], version: 0 },
+    ];
+    let chaos = ChaosInjector::new(plan.clone())
+        .expect("plan")
+        .schedule(stream.iter().map(|e| e.seq).collect::<Vec<_>>());
+    let sup = SupervisorConfig {
+        restart_budget: u32::MAX,
+        checkpoint_every: 128,
+        ..SupervisorConfig::default()
+    };
+    let submitted = stream.len();
+    let report =
+        rt.serve_online_supervised(stream, &sup, Some(&chaos), &swaps).expect("supervised serve");
+    let score = rt.policy_store().expect("store").score();
+    assert!(score.decisions > 0, "the candidate must be scored");
+    StolenBatchRun { report, snap: rt.snapshot().to_json(), score: format!("{score:?}"), submitted }
+}
+
+/// A telemetry clock that counts its own calls, so a decision's latency is
+/// the number of clock reads between its query parking and its answer.
+fn counting_clock() -> u64 {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    CALLS.fetch_add(1, Ordering::Relaxed)
+}
+
+/// A supervised window closes as soon as it fills, as in every shard loop:
+/// at `batch_window` 1 each query is answered right after it parks, so
+/// every decision latency is one clock call, exactly as in plain serving.
+#[test]
+fn supervised_windows_close_when_full() {
+    let f = fixture();
+    let fleet = FleetGenerator::new(17, fleet_size());
+    let serve = |supervised: bool| {
+        let mut config = det_config(1);
+        config.batch_window = 1;
+        config.telemetry = Some(counting_clock);
+        let mut rt = build_runtime(&f, config, fleet.num_homes());
+        let envelopes =
+            rt.ingest_fleet_day(&fleet, 1, None, Some(query_every())).expect("ingest").envelopes;
+        if supervised {
+            let sup = SupervisorConfig::default();
+            rt.serve_online_supervised(envelopes, &sup, None, &[]).expect("supervised").report
+        } else {
+            rt.serve(envelopes).expect("serve")
+        }
+    };
+    let plain = serve(false);
+    assert!(plain.decisions() > 0, "the stream must carry queries");
+    assert!(plain.latencies_ns.iter().all(|&calls| calls == 1), "{:?}", plain.latencies_ns);
+    let supervised = serve(true);
+    assert_eq!(supervised.latencies_ns, plain.latencies_ns, "supervised windows close when full");
 }
 
 #[test]
@@ -541,14 +661,14 @@ fn recovery_through_a_swap_is_bitwise_and_lands_on_the_active_version() {
     }
 }
 
-/// A crash on the very query that opens a new epoch: the recovery replay
-/// re-parks the suffix's queries under the old epoch, and the retried
-/// query must still be answered by the policy its seq selects.
+/// A crash on the very query that opens a new epoch, with a long replay
+/// suffix of old-epoch queries behind it: the retried query must still be
+/// answered by the policy its seq selects.
 #[test]
 fn a_crash_on_the_first_query_of_an_epoch_retries_under_that_epoch() {
     let f = fixture();
     let fleet = FleetGenerator::new(41, fleet_size());
-    // One long WAL suffix, so the recovery replay re-parks queries.
+    // One long WAL suffix, so the recovery replays queries.
     let sup = SupervisorConfig { checkpoint_every: 1 << 20, ..SupervisorConfig::default() };
     let (mut oracle_rt, version) = online_runtime(&f, 1, fleet.num_homes());
     let envelopes =

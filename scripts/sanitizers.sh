@@ -15,6 +15,10 @@
 # panic recovery plus scoped threads is exactly the code TSan and Miri are
 # best at breaking. JARVIS_SIMD=scalar keeps Miri off the SIMD intrinsics.
 #
+# So does the work-stealing battery (crates/runtime/tests/stealing.rs):
+# threaded serving, supervised or not, runs on the StealQueue ingest rings
+# and run queues, with idle workers stealing closed batches from siblings.
+#
 # The continual-learning battery (crates/runtime/tests/online.rs) rides
 # along too: background fine-tuning runs per-home replay passes through the
 # scoped worker pool, and the battery's pool-size-invariance tests are the
@@ -46,8 +50,8 @@ target="$(rustc -vV | awk '/^host:/ { print $2 }')"
 # Every R8 `// ordering:` annotation admits a non-default atomic ordering on
 # the strength of a prose argument. Keep those arguments honest: the file
 # holding one must be in the set this script actually exercises under
-# TSan/Miri (stdkit sync + pool test filters, runtime via the supervision
-# and online test targets). A new annotation in an undriven module means
+# TSan/Miri (stdkit sync + pool test filters, runtime via the supervision,
+# stealing and online test targets). A new annotation in an undriven module means
 # either extend the batteries here or move the atomic behind a driven API.
 check_ordering_coverage() {
     uncovered=0
@@ -101,6 +105,10 @@ run_tsan() {
     RUSTFLAGS="-Zsanitizer=thread" \
         cargo +nightly test --offline -p jarvis-runtime --test supervision \
         -Zbuild-std --target "$target"
+    echo "==> ThreadSanitizer: jarvis-runtime work-stealing battery (rings, run queues, steals)"
+    RUSTFLAGS="-Zsanitizer=thread" \
+        cargo +nightly test --offline -p jarvis-runtime --test stealing \
+        -Zbuild-std --target "$target"
     echo "==> ThreadSanitizer: jarvis-runtime continual-learning battery (fine-tune pool, swaps)"
     RUSTFLAGS="-Zsanitizer=thread" \
         cargo +nightly test --offline -p jarvis-runtime --test online \
@@ -117,6 +125,9 @@ run_miri() {
     echo "==> Miri: jarvis-runtime supervision battery (supervisor, WAL, chaos recovery)"
     JARVIS_SIMD=scalar \
         cargo +nightly miri test --offline -p jarvis-runtime --test supervision
+    echo "==> Miri: jarvis-runtime work-stealing battery (rings, run queues, steals)"
+    JARVIS_SIMD=scalar \
+        cargo +nightly miri test --offline -p jarvis-runtime --test stealing
     echo "==> Miri: jarvis-runtime continual-learning battery (fine-tune pool, swaps)"
     JARVIS_SIMD=scalar \
         cargo +nightly miri test --offline -p jarvis-runtime --test online

@@ -58,7 +58,9 @@ if [ "${1:-}" = "--quick" ]; then
     # >2x throughput regression of the gated batched path, shard-4 p99
     # above p99_ratio_gate times shard-1 p99, the one-panic-per-499
     # chaos run not bitwise identical to the uninterrupted oracle
-    # (recovery-determinism smoke), degraded-mode throughput below
+    # (recovery-determinism smoke) — sequential, at 4 threaded shards on
+    # the work-stealing workers, and with online learning and two swaps —
+    # degraded-mode throughput below
     # degraded_ratio_gate times healthy, the hot-swap stall above one
     # batch window, or the drift-adaptation gate (continual false alarms
     # above frozen, or detection below 1.0).
@@ -107,9 +109,10 @@ echo "==> continual-learning battery (cargo test -p jarvis-runtime --test online
 cargo test -q --offline -p jarvis-runtime --test online
 
 # Serving-runtime smoke: the gated 64-home batched-inference pair, the
-# threaded shard-1/shard-4 tail-latency pair, the one-panic recovery run
-# (bitwise recovery-determinism gate), and degraded-mode throughput,
-# checked against the recorded BENCH_runtime.json.
+# threaded shard-1/shard-4 tail-latency pair, the one-panic recovery runs
+# (bitwise recovery-determinism gates: sequential, 4 threaded shards, and
+# online with two swaps), and degraded-mode throughput, checked against
+# the recorded BENCH_runtime.json.
 echo "==> serving-runtime + recovery smoke (throughput --quick --check BENCH_runtime.json)"
 cargo run -q --release --offline -p jarvis-bench --bin throughput -- --quick --check "$PWD/BENCH_runtime.json"
 
