@@ -41,14 +41,36 @@ pub fn encode_observation(
     outdoor_c: f64,
     price_per_kwh: f64,
 ) -> Vec<f64> {
-    let mut v = state.one_hot(state_sizes);
-    let phase = std::f64::consts::TAU * f64::from(t) / f64::from(steps);
-    v.push(phase.sin());
-    v.push(phase.cos());
-    v.push((indoor_c - 10.0) / 20.0);
-    v.push((outdoor_c + 10.0) / 40.0);
-    v.push(price_per_kwh / 0.15);
+    let mut v = vec![0.0; state_sizes.iter().sum::<usize>() + 5];
+    encode_observation_into(state, state_sizes, t, steps, indoor_c, outdoor_c, price_per_kwh, &mut v);
     v
+}
+
+/// [`encode_observation`] written into `out`, which must be exactly
+/// `sum(state_sizes) + 5` long (panics otherwise); every element is
+/// overwritten. The serving runtime encodes each query straight into its
+/// batch's observation matrix through this.
+#[allow(clippy::too_many_arguments)]
+pub fn encode_observation_into(
+    state: &EnvState,
+    state_sizes: &[usize],
+    t: u32,
+    steps: u32,
+    indoor_c: f64,
+    outdoor_c: f64,
+    price_per_kwh: f64,
+    out: &mut [f64],
+) {
+    let (one_hot, ambient) = out.split_at_mut(out.len() - 5);
+    state.one_hot_into(state_sizes, one_hot);
+    let phase = std::f64::consts::TAU * f64::from(t) / f64::from(steps);
+    ambient.copy_from_slice(&[
+        phase.sin(),
+        phase.cos(),
+        (indoor_c - 10.0) / 20.0,
+        (outdoor_c + 10.0) / 40.0,
+        price_per_kwh / 0.15,
+    ]);
 }
 
 /// The simulated smart-home RL environment.

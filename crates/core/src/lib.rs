@@ -60,7 +60,7 @@ pub mod suggest;
 
 pub use active::{active_learning_round, ActiveReport, DeviceAllowlistOracle, UserOracle};
 pub use analysis::{BenefitPoint, DayMetrics};
-pub use env::{encode_observation, HomeRlEnv};
+pub use env::{encode_observation, encode_observation_into, HomeRlEnv};
 pub use error::JarvisError;
 pub use jarvis::{DayPlan, Jarvis, JarvisConfig, PolicySnapshot};
 pub use monitor::{RuntimeMonitor, Verdict};

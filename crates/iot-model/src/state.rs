@@ -101,19 +101,26 @@ impl EnvState {
     /// has length `sum(sizes)`.
     #[must_use]
     pub fn one_hot(&self, sizes: &[usize]) -> Vec<f64> {
-        let total: usize = sizes.iter().sum();
-        let mut v = vec![0.0; total];
+        let mut v = vec![0.0; sizes.iter().sum()];
+        self.one_hot_into(sizes, &mut v);
+        v
+    }
+
+    /// [`EnvState::one_hot`] written into `out`, which must be exactly
+    /// `sum(sizes)` long (panics otherwise); every element is overwritten.
+    pub fn one_hot_into(&self, sizes: &[usize], out: &mut [f64]) {
+        assert_eq!(out.len(), sizes.iter().sum::<usize>(), "one-hot buffer width");
+        out.fill(0.0);
         let mut offset = 0;
         for (i, &size) in sizes.iter().enumerate() {
             if let Some(s) = self.0.get(i) {
                 let idx = (s.0 as usize).min(size.saturating_sub(1));
                 if size > 0 {
-                    v[offset + idx] = 1.0;
+                    out[offset + idx] = 1.0;
                 }
             }
             offset += size;
         }
-        v
     }
 }
 

@@ -119,6 +119,26 @@ impl Dense {
         Ok(ForwardCache { z, a })
     }
 
+    /// Inference-only forward: bit for bit the activations of
+    /// [`Dense::forward`], computed in place in the GEMM's output buffer
+    /// instead of through a kept pre-activation copy.
+    pub(crate) fn infer(&self, input: &Matrix, par: Parallelism) -> Result<Matrix, NeuralError> {
+        let mut out = input.matmul_transpose_with(&self.weights, par)?;
+        if self.bias.len() != out.cols() {
+            return Err(NeuralError::BadVectorLength {
+                what: "bias",
+                expected: out.cols(),
+                got: self.bias.len(),
+            });
+        }
+        for row in out.as_mut_slice().chunks_exact_mut(self.bias.len().max(1)) {
+            for (v, b) in row.iter_mut().zip(&self.bias) {
+                *v = self.activation.apply(*v + b);
+            }
+        }
+        Ok(out)
+    }
+
     /// Backward pass: given the gradient of the loss with respect to this
     /// layer's *output activations* (`dl_da`, `batch × units`), the cached
     /// pre-activations, and this layer's input activations (`batch ×

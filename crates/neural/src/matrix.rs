@@ -151,6 +151,18 @@ impl Matrix {
         &mut self.data
     }
 
+    /// The row-major data buffer, handed back for reuse.
+    #[must_use]
+    pub fn into_vec(self) -> Vec<f64> {
+        self.data
+    }
+
+    /// Copy every row out as its own vector.
+    #[must_use]
+    pub fn to_rows(&self) -> Vec<Vec<f64>> {
+        (0..self.rows).map(|r| self.row(r).to_vec()).collect()
+    }
+
     /// Matrix product `self · rhs` on the blocked single-threaded kernel.
     ///
     /// Equivalent to [`Matrix::matmul_with`] at [`Parallelism::Single`];

@@ -121,7 +121,18 @@ impl Network {
     /// Returns [`NeuralError::BadBatch`] for an empty or ragged batch and
     /// [`NeuralError::BadVectorLength`] when rows have the wrong width.
     pub fn forward_batch(&self, inputs: &[&[f64]]) -> Result<Vec<Vec<f64>>, NeuralError> {
-        let x = Matrix::from_rows(inputs)?;
+        Ok(self.forward_matrix(&Matrix::from_rows(inputs)?)?.to_rows())
+    }
+
+    /// [`Network::forward_batch`] on an already packed `batch × input_size`
+    /// matrix, returning the `batch × outputs` matrix: no per-row vectors
+    /// on either side.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NeuralError::BadVectorLength`] when the matrix has the
+    /// wrong width.
+    pub fn forward_matrix(&self, x: &Matrix) -> Result<Matrix, NeuralError> {
         if x.cols() != self.input_size {
             return Err(NeuralError::BadVectorLength {
                 what: "input",
@@ -129,8 +140,7 @@ impl Network {
                 got: x.cols(),
             });
         }
-        let out = self.predict_batch(&x)?;
-        Ok((0..out.rows()).map(|r| out.row(r).to_vec()).collect())
+        self.predict_batch(x)
     }
 
     /// Run the network on a batch (`batch × input_size`).
@@ -139,9 +149,11 @@ impl Network {
     ///
     /// Returns a dimension error when the batch width is wrong.
     pub fn predict_batch(&self, input: &Matrix) -> Result<Matrix, NeuralError> {
-        let mut a = input.clone();
-        for layer in &self.layers {
-            a = layer.forward(&a, self.parallelism)?.a;
+        let mut layers = self.layers.iter();
+        let Some(first) = layers.next() else { return Ok(input.clone()) };
+        let mut a = first.infer(input, self.parallelism)?;
+        for layer in layers {
+            a = layer.infer(&a, self.parallelism)?;
         }
         Ok(a)
     }

@@ -253,20 +253,52 @@ impl QuantizedNetwork {
         if inputs.is_empty() {
             return Err(NeuralError::BadBatch { reason: "empty batch" });
         }
-        let batch = inputs.len();
+        if let Some(row) = inputs.iter().find(|row| row.len() != self.input_size) {
+            return Err(NeuralError::BadVectorLength {
+                what: "input",
+                expected: self.input_size,
+                got: row.len(),
+            });
+        }
+        Ok(self.forward_matrix_with_tier(&Matrix::from_rows(inputs)?, tier)?.to_rows())
+    }
+
+    /// Quantized forward of a packed `batch × input_size` matrix at the
+    /// detected [`SimdTier`], returning the `batch × outputs` Q-value
+    /// matrix — row `i` bit-identical to [`Self::forward_batch`]'s.
+    ///
+    /// # Errors
+    ///
+    /// [`NeuralError::BadBatch`] for an empty batch,
+    /// [`NeuralError::BadVectorLength`] for the wrong width.
+    pub fn forward_matrix(&self, x: &Matrix) -> Result<Matrix, NeuralError> {
+        self.forward_matrix_with_tier(x, SimdTier::detect())
+    }
+
+    /// [`Self::forward_matrix`] pinned to one [`SimdTier`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::forward_matrix`].
+    pub fn forward_matrix_with_tier(
+        &self,
+        x: &Matrix,
+        tier: SimdTier,
+    ) -> Result<Matrix, NeuralError> {
+        if x.rows() == 0 {
+            return Err(NeuralError::BadBatch { reason: "empty batch" });
+        }
+        if x.cols() != self.input_size {
+            return Err(NeuralError::BadVectorLength {
+                what: "input",
+                expected: self.input_size,
+                got: x.cols(),
+            });
+        }
+        let batch = x.rows();
         let mut width = self.input_size;
         let first_scale = self.layers[0].in_scale;
-        let mut qx: Vec<i8> = Vec::with_capacity(batch * width);
-        for row in inputs {
-            if row.len() != width {
-                return Err(NeuralError::BadVectorLength {
-                    what: "input",
-                    expected: width,
-                    got: row.len(),
-                });
-            }
-            qx.extend(row.iter().map(|&v| quantize_value(v, first_scale)));
-        }
+        let mut qx: Vec<i8> = x.as_slice().iter().map(|&v| quantize_value(v, first_scale)).collect();
         for (li, layer) in self.layers.iter().enumerate() {
             debug_assert_eq!(width, layer.inputs);
             let mut accs = vec![0i32; batch * layer.units];
@@ -286,18 +318,15 @@ impl QuantizedNetwork {
                 );
             } else {
                 // Output layer: dequantize to the f64 Q-value rows.
-                return Ok(accs
+                let q = accs
                     .chunks_exact(layer.units)
-                    .map(|acc_row| {
-                        acc_row
-                            .iter()
-                            .zip(&layer.bias)
-                            .map(|(&acc, &bias)| {
-                                layer.activation.apply(f64::from(acc) * dequant + bias)
-                            })
-                            .collect()
+                    .flat_map(|acc_row| {
+                        acc_row.iter().zip(&layer.bias).map(|(&acc, &bias)| {
+                            layer.activation.apply(f64::from(acc) * dequant + bias)
+                        })
                     })
-                    .collect());
+                    .collect();
+                return Matrix::from_vec(batch, layer.units, q);
             }
             width = layer.units;
         }

@@ -1194,6 +1194,15 @@ impl ServingRuntime {
 /// plus the router's rejections (none for the sequential executor).
 type Served = (Vec<ShardOutput>, Vec<Rejection>);
 
+/// Events routed to each of `shards` shards.
+fn routed_counts(route: &[usize], shards: usize) -> Vec<usize> {
+    let mut counts = vec![0; shards];
+    for &shard in route {
+        counts[shard] += 1;
+    }
+    counts
+}
+
 /// Sequential execution on the caller's thread: each shard's stream through
 /// the sequential loop, no queue bounds — the bit-exact reference for any
 /// shard count and any steal schedule.
@@ -1204,7 +1213,8 @@ fn run_sequential(
     route: &[usize],
     supervisors: &mut [ShardSupervisor<'_>],
 ) -> Result<Served, JarvisError> {
-    let mut streams: Vec<Vec<Envelope>> = parts.iter().map(|_| Vec::new()).collect();
+    let mut streams: Vec<Vec<Envelope>> =
+        routed_counts(route, parts.len()).into_iter().map(Vec::with_capacity).collect();
     for (env, &shard) in events.into_iter().zip(route) {
         streams[shard].push(env);
     }
@@ -1233,7 +1243,7 @@ fn run_stealing(
     let stride = config.steal_stride;
     let throttle = Duration::from_nanos(config.worker_throttle_ns);
     let capacity = config.queue_capacity;
-    let shared = WorkerShared::new(parts.len(), capacity);
+    let shared = WorkerShared::new(routed_counts(route, parts.len()), capacity);
     let mut rejected = Vec::new();
     let mut overload_err: Option<JarvisError> = None;
     let mut results: Vec<Result<ShardOutput, JarvisError>> = Vec::with_capacity(parts.len());

@@ -23,11 +23,17 @@
 //! swap, whoever executes it.
 //!
 //! Stealing cannot change any decision: a batch snapshots every query's
-//! observation, valid-action set, and flat→mini action map at in-order
+//! observation, valid-action mask, and flat→mini action map at in-order
 //! processing time, and the batched forward is bit-identical per row to a
 //! single-row forward, so an [`InferenceTask`] is a pure function of its
 //! epoch's policy — whichever worker runs it, whenever, produces the same
 //! bytes.
+//!
+//! The decision path allocates nothing per query or per decision: a query
+//! encodes straight into its batch's row-major observation buffer and
+//! copies its home's memoized valid-action bitmask beside it, the forward
+//! reads the buffer as one matrix, and an executed batch hands its emptied
+//! buffers back to the window for the next batch.
 
 use crate::event::{DecisionSource, Envelope, EventKind, Outcome};
 use crate::policy_store::{ShadowRow, SwapPoint};
@@ -35,6 +41,8 @@ use crate::slot::HomeSlot;
 use crate::supervisor::ShardSupervisor;
 use jarvis::JarvisError;
 use jarvis_iot_model::MiniAction;
+use jarvis_neural::{Matrix, NeuralError};
+use jarvis_rl::policy::{self, argmax_mask, mask_contains};
 use jarvis_rl::{DqnAgent, QuantizedPolicy};
 use jarvis_stdkit::sync::{PushError, StealQueue};
 use std::collections::BTreeMap;
@@ -111,6 +119,19 @@ pub(crate) struct ShardOutput {
     pub shadow: Vec<ShadowRow>,
 }
 
+impl ShardOutput {
+    /// An output sized for a shard stream of `events` events: one outcome
+    /// each, and a latency each when a telemetry clock is injected — so the
+    /// buffers never grow by doubling mid-stream.
+    fn with_capacity(events: usize, clock: Option<fn() -> u64>) -> Self {
+        ShardOutput {
+            outcomes: Vec::with_capacity(events),
+            latencies_ns: Vec::with_capacity(if clock.is_some() { events } else { 0 }),
+            shadow: Vec::new(),
+        }
+    }
+}
+
 /// One routed event plus its telemetry enqueue stamp (`None` when no clock
 /// is injected).
 pub(crate) struct Job {
@@ -118,14 +139,11 @@ pub(crate) struct Job {
     pub enqueued: Option<u64>,
 }
 
-/// A query parked in the batching window, its observation, valid set, and
-/// action map snapshotted at in-order processing time so neither later
-/// events nor the executing worker can change the answer.
+/// A query parked in the batching window. Its observation and valid-action
+/// mask are its row of the batch's flat buffers.
 struct Pending {
     seq: u64,
     home: u64,
-    obs: Vec<f64>,
-    valid: Vec<usize>,
     /// The home's flat-index → mini-action map (shared, immutable), so a
     /// thief can materialize the decision without touching the slot.
     actions: Arc<Vec<MiniAction>>,
@@ -133,11 +151,57 @@ struct Pending {
     enqueued: Option<u64>,
 }
 
-/// A closed batch of snapshotted queries plus the policy epoch they were
-/// parked under: self-contained inference work executable by any worker
-/// with bitwise-identical results.
-pub(crate) struct InferenceTask {
+/// The rows of one batch: each parked query's metadata, observation and
+/// valid-action mask, snapshotted at in-order processing time so neither
+/// later events nor the executing worker can change the answer.
+/// Observations form one row-major `len × cols` buffer that the forward
+/// reads as a matrix; masks are `len × words` words. The buffers outlive
+/// the batch: an executed batch is handed back emptied, capacity intact,
+/// for the next window to fill.
+#[derive(Default)]
+pub(crate) struct Batch {
     entries: Vec<Pending>,
+    obs: Vec<f64>,
+    cols: usize,
+    masks: Vec<u64>,
+    words: usize,
+}
+
+impl Batch {
+    /// Park one query with a `cols`-wide observation row and a
+    /// `words`-wide mask row, handing both back for the caller to fill.
+    /// Every row of a batch has the same widths.
+    fn push(
+        &mut self,
+        pending: Pending,
+        cols: usize,
+        words: usize,
+    ) -> Result<(&mut [f64], &mut [u64]), JarvisError> {
+        if self.entries.is_empty() {
+            (self.cols, self.words) = (cols, words);
+        } else if (cols, words) != (self.cols, self.words) {
+            return Err(NeuralError::BadBatch { reason: "ragged rows" }.into());
+        }
+        self.entries.push(pending);
+        let (obs_at, mask_at) = (self.obs.len(), self.masks.len());
+        self.obs.resize(obs_at + cols, 0.0);
+        self.masks.resize(mask_at + words, 0);
+        Ok((&mut self.obs[obs_at..], &mut self.masks[mask_at..]))
+    }
+
+    /// Keep the first `len` rows.
+    fn truncate(&mut self, len: usize) {
+        self.entries.truncate(len);
+        self.obs.truncate(len * self.cols);
+        self.masks.truncate(len * self.words);
+    }
+}
+
+/// A closed batch plus the policy epoch its queries were parked under:
+/// self-contained inference work executable by any worker with
+/// bitwise-identical results.
+pub(crate) struct InferenceTask {
+    batch: Batch,
     epoch: usize,
 }
 
@@ -145,27 +209,29 @@ pub(crate) struct InferenceTask {
 /// the policy epoch they were parked in.
 #[derive(Default)]
 pub(crate) struct Window {
-    pending: Vec<Pending>,
+    batch: Batch,
     epoch: usize,
+    /// An executed batch's emptied buffers, filled by the next close.
+    spare: Option<Batch>,
 }
 
 impl Window {
     fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.batch.entries.is_empty()
     }
 
     fn is_full(&self, batch_window: usize) -> bool {
-        self.pending.len() >= batch_window
+        self.batch.entries.len() >= batch_window
     }
 
     /// Number of parked queries.
     pub(crate) fn len(&self) -> usize {
-        self.pending.len()
+        self.batch.entries.len()
     }
 
     /// Unpark every query parked after the first `len` (a failed attempt's).
     pub(crate) fn truncate(&mut self, len: usize) {
-        self.pending.truncate(len);
+        self.batch.truncate(len);
     }
 
     /// Move the window to `epoch`, handing back the batch parked under a
@@ -177,9 +243,25 @@ impl Window {
     }
 
     /// Close the window: its parked queries as one task, `None` when empty.
+    /// The window parks the next queries in its spare buffers, if it has
+    /// some.
     fn close(&mut self) -> Option<InferenceTask> {
-        let entries = std::mem::take(&mut self.pending);
-        (!entries.is_empty()).then_some(InferenceTask { entries, epoch: self.epoch })
+        if self.is_empty() {
+            return None;
+        }
+        let batch = std::mem::replace(&mut self.batch, self.spare.take().unwrap_or_default());
+        Some(InferenceTask { batch, epoch: self.epoch })
+    }
+
+    /// Execute `task` and keep its emptied buffers for the next close.
+    fn run(
+        &mut self,
+        task: InferenceTask,
+        roster: &Roster<'_>,
+        out: &mut ShardOutput,
+    ) -> Result<(), JarvisError> {
+        self.spare = Some(run_batch(task, roster, out)?);
+        Ok(())
     }
 
     /// Close the window and answer its queries inline, under the epoch
@@ -190,24 +272,29 @@ impl Window {
         out: &mut ShardOutput,
     ) -> Result<(), JarvisError> {
         match self.close() {
-            Some(task) => run_batch(task, roster, out),
+            Some(task) => self.run(task, roster, out),
             None => Ok(()),
         }
     }
 }
 
 /// Everything the worker threads share: per-shard ingest rings, per-shard
-/// run queues of closed batches, per-shard done-publishing flags, and the
-/// abort latch that fails the whole serve call fast.
+/// run queues of closed batches, per-shard done-publishing flags, per-shard
+/// routed event counts (each worker's output capacity), and the abort
+/// latch that fails the whole serve call fast.
 pub(crate) struct WorkerShared {
     pub ingest: Vec<StealQueue<Job>>,
     pub tasks: Vec<StealQueue<InferenceTask>>,
     pub done: Vec<AtomicBool>,
+    pub routed: Vec<usize>,
     pub abort: AtomicBool,
 }
 
 impl WorkerShared {
-    pub(crate) fn new(shards: usize, ingest_capacity: usize) -> Self {
+    /// Queues for `routed.len()` shards, shard `i` receiving `routed[i]`
+    /// events.
+    pub(crate) fn new(routed: Vec<usize>, ingest_capacity: usize) -> Self {
+        let shards = routed.len();
         // The lock-free ring needs at least two slots (see
         // `StealQueue::new`); a configured capacity of 1 still gets honest
         // backpressure, just one event later.
@@ -216,6 +303,7 @@ impl WorkerShared {
             ingest: (0..shards).map(|_| StealQueue::new(ingest_capacity)).collect(),
             tasks: (0..shards).map(|_| StealQueue::new(TASK_QUEUE_CAPACITY)).collect(),
             done: (0..shards).map(|_| AtomicBool::new(false)).collect(),
+            routed,
             abort: AtomicBool::new(false),
         }
     }
@@ -277,28 +365,33 @@ pub(crate) fn apply_event(
             if learn {
                 slot.note_ambient(indoor_c, outdoor_c, price_per_kwh);
             }
-            window.pending.push(Pending {
+            let pending = Pending {
                 seq: env.seq,
                 home: env.home,
-                obs: slot.encode(env.minute, indoor_c, outdoor_c, price_per_kwh),
-                valid: slot.valid_actions(),
                 actions: slot.actions(),
                 // Deterministic mode stamps at first touch (enqueue ==
                 // dequeue there); threaded mode keeps the router's stamp.
                 enqueued: job.enqueued.or_else(|| clock.map(|now| now())),
-            });
+            };
+            let (obs, mask) = window.batch.push(pending, slot.obs_dim(), slot.mask_words())?;
+            slot.encode_into(env.minute, indoor_c, outdoor_c, price_per_kwh, obs);
+            mask.copy_from_slice(slot.valid_mask());
         }
     }
     Ok(())
 }
 
 /// Execute one closed batch under its epoch's policy view: a single batched
-/// forward, then one descending-Q ranking walk per row down to the best
-/// action each home's safe set allows (`Max(Q, c)`).
+/// forward over the batch's observation matrix, then per row the paper's
+/// `Max(Q, c)` — the best action the home's safe set allows — in one pass
+/// over the row's valid-action mask: the masked argmax (highest Q, lowest
+/// index on ties, [`jarvis_rl::policy::argmax`]'s rule), reported with its
+/// rank `c` in the row's full descending-Q ranking. Hands the batch's
+/// buffers back emptied.
 ///
 /// When the view carries a deployed [`QuantizedPolicy`], the batched forward
 /// runs through its int8 fixed-point network instead of the f64 agent —
-/// the ranking walk is identical, only the Q source changes. Quantized Q
+/// the walk is identical, only the Q source changes. Quantized Q
 /// values are bit-deterministic across SIMD tiers, pool sizes, and batch
 /// groupings (i32 accumulation), so the serving determinism contract is
 /// unchanged.
@@ -306,43 +399,32 @@ fn run_batch(
     task: InferenceTask,
     roster: &Roster<'_>,
     out: &mut ShardOutput,
-) -> Result<(), JarvisError> {
-    let view = roster.view(task.epoch);
+) -> Result<Batch, JarvisError> {
+    let InferenceTask { mut batch, epoch } = task;
+    let view = roster.view(epoch);
     let clock = roster.clock;
-    let rows: Vec<&[f64]> = task.entries.iter().map(|p| p.obs.as_slice()).collect();
-    let q_rows = match view.quantized {
-        Some(qp) => qp.q_values_batch(&rows)?,
-        None => view.policy.q_values_batch(&rows)?,
+    let obs = Matrix::from_vec(batch.entries.len(), batch.cols, std::mem::take(&mut batch.obs))?;
+    let q = match view.quantized {
+        Some(qp) => qp.q_values_matrix(&obs),
+        None => view.policy.q_values_matrix(&obs),
     };
     // The shadow candidate sees the exact observations the active policy
     // answered — scored, never served.
-    let shadow_rows = match view.shadow {
-        Some(sh) => Some(sh.q_values_batch(&rows)?),
-        None => None,
-    };
-    let mut ranked: Vec<usize> = Vec::new();
-    for (i, (p, q)) in task.entries.into_iter().zip(q_rows).enumerate() {
-        // Rank the whole head once, descending Q with ascending-index tie
-        // breaks — element `c` is exactly `top_c(&q, &all, c)`, without
-        // re-sorting per walked rank.
-        ranked.clear();
-        ranked.extend(0..q.len());
-        ranked.sort_by(|&a, &b| {
-            q[b].partial_cmp(&q[a]).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
-        });
-        let mut decision = None;
-        for (c, &a) in ranked.iter().enumerate() {
-            if p.valid.contains(&a) {
-                decision = Some((a, q[a], c));
-                break;
-            }
-        }
+    let shadow_q = view.shadow.map(|sh| sh.q_values_matrix(&obs)).transpose();
+    batch.obs = obs.into_vec();
+    let (q, shadow_q) = (q?, shadow_q?);
+    let words = batch.words;
+    for (i, p) in batch.entries.drain(..).enumerate() {
+        let q_row = q.row(i);
+        let mask = &batch.masks[i * words..(i + 1) * words];
         // The no-op is always in the valid set, so the walk always lands;
         // fall back to it defensively anyway.
-        let (flat, q_value, rank) =
-            decision.unwrap_or((0, q.first().copied().unwrap_or(0.0), 0));
-        if let Some(shadow_q) = &shadow_rows {
-            out.shadow.push(score_shadow(&p, flat, &q, &shadow_q[i], &mut ranked));
+        let (flat, q_value, rank) = match policy::max_q_c(q_row, mask) {
+            Some((a, c)) => (a, q_row[a], c),
+            None => (0, q_row.first().copied().unwrap_or(0.0), 0),
+        };
+        if let Some(shadow_q) = &shadow_q {
+            out.shadow.push(score_shadow(p.seq, mask, flat, q_row, shadow_q.row(i)));
         }
         let action = if flat == 0 { None } else { p.actions.get(flat - 1).copied() };
         out.outcomes.push(Outcome::Decision {
@@ -358,43 +440,28 @@ fn run_batch(
             out.latencies_ns.push(now().saturating_sub(t0));
         }
     }
-    Ok(())
+    batch.truncate(0);
+    Ok(batch)
 }
 
 /// Score one shadow decision: the candidate's constrained choice under the
 /// same `Max(Q, c)` walk, safety parity of the unconstrained argmaxes, and
 /// Q-regret of the candidate's choice under the active policy's estimate.
 fn score_shadow(
-    p: &Pending,
+    seq: u64,
+    mask: &[u64],
     active_flat: usize,
     active_q: &[f64],
     shadow_q: &[f64],
-    ranked: &mut Vec<usize>,
 ) -> ShadowRow {
-    ranked.clear();
-    ranked.extend(0..shadow_q.len());
-    ranked.sort_by(|&a, &b| {
-        shadow_q[b]
-            .partial_cmp(&shadow_q[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    let shadow_flat = ranked.iter().copied().find(|a| p.valid.contains(a)).unwrap_or(0);
-    let raw_argmax = |q: &[f64]| {
-        let mut best = 0usize;
-        for a in 1..q.len() {
-            if q[a] > q[best] {
-                best = a;
-            }
-        }
-        best
-    };
+    let shadow_flat = argmax_mask(shadow_q, mask).unwrap_or(0);
+    let raw_argmax = |q: &[f64]| policy::argmax_of(q, 0..q.len()).unwrap_or(0);
     let parity_ok =
-        p.valid.contains(&raw_argmax(active_q)) == p.valid.contains(&raw_argmax(shadow_q));
+        mask_contains(mask, raw_argmax(active_q)) == mask_contains(mask, raw_argmax(shadow_q));
     let regret = (active_q.get(active_flat).copied().unwrap_or(0.0)
         - active_q.get(shadow_flat).copied().unwrap_or(0.0))
     .max(0.0);
-    ShadowRow { seq: p.seq, agree: shadow_flat == active_flat, parity_ok, regret }
+    ShadowRow { seq, agree: shadow_flat == active_flat, parity_ok, regret }
 }
 
 /// Publish a closed batch on this shard's run queue so an idle sibling can
@@ -403,10 +470,11 @@ fn publish(
     run_queue: &StealQueue<InferenceTask>,
     task: Option<InferenceTask>,
     roster: &Roster<'_>,
+    window: &mut Window,
     out: &mut ShardOutput,
 ) -> Result<(), JarvisError> {
     match task.map(|task| run_queue.try_push(task)) {
-        Some(Err(PushError::Full(task))) => run_batch(task, roster, out),
+        Some(Err(PushError::Full(task))) => window.run(task, roster, out),
         _ => Ok(()),
     }
 }
@@ -437,11 +505,11 @@ pub(crate) fn process_sequential(
     mut sup: Option<&mut ShardSupervisor<'_>>,
     events: Vec<Envelope>,
 ) -> Result<ShardOutput, JarvisError> {
-    let mut out = ShardOutput::default();
+    let mut out = ShardOutput::with_capacity(events.len(), roster.clock);
     let mut window = Window::default();
     for env in events {
         if let Some(task) = window.enter(roster.epoch_of(env.seq)) {
-            run_batch(task, roster, &mut out)?;
+            window.run(task, roster, &mut out)?;
         }
         let job = Job { env, enqueued: None };
         step(slots, job, roster, sup.as_deref_mut(), &mut window, &mut out)?;
@@ -500,7 +568,7 @@ fn worker_loop(
     let ingest = &shared.ingest[idx];
     let run_queue = &shared.tasks[idx];
     let victims = steal_order(idx, shared.tasks.len(), stride);
-    let mut out = ShardOutput::default();
+    let mut out = ShardOutput::with_capacity(shared.routed[idx], roster.clock);
     let mut window = Window::default();
     let mut done_publishing = false;
 
@@ -515,17 +583,20 @@ fn worker_loop(
             if !throttle.is_zero() {
                 std::thread::sleep(throttle);
             }
-            publish(run_queue, window.enter(roster.epoch_of(job.env.seq)), roster, &mut out)?;
+            let closed = window.enter(roster.epoch_of(job.env.seq));
+            publish(run_queue, closed, roster, &mut window, &mut out)?;
             step(slots, job, roster, sup.as_deref_mut(), &mut window, &mut out)?;
             if window.is_full(roster.batch_window) {
-                publish(run_queue, window.close(), roster, &mut out)?;
+                let closed = window.close();
+                publish(run_queue, closed, roster, &mut window, &mut out)?;
             }
         }
 
         // 2. Adaptive close: the ring ran dry with queries parked — answer
         //    them now instead of letting them age until the window fills.
         if !window.is_empty() {
-            publish(run_queue, window.close(), roster, &mut out)?;
+            let closed = window.close();
+            publish(run_queue, closed, roster, &mut window, &mut out)?;
             progress = true;
         }
 
@@ -539,12 +610,12 @@ fn worker_loop(
         // 4. Execute own batches first (freshest cache), then steal from
         //    the fixed victim schedule.
         if let Some(task) = run_queue.pop() {
-            run_batch(task, roster, &mut out)?;
+            window.run(task, roster, &mut out)?;
             continue;
         }
         for &victim in &victims {
             if let Some(task) = shared.tasks[victim].pop() {
-                run_batch(task, roster, &mut out)?;
+                window.run(task, roster, &mut out)?;
                 progress = true;
                 break;
             }

@@ -1,7 +1,7 @@
 //! # jarvis-stdkit
 //!
 //! The zero-dependency foundation of the Jarvis workspace. Every other crate
-//! builds on the four modules here instead of pulling registry dependencies,
+//! builds on the modules here instead of pulling registry dependencies,
 //! so `cargo build --release && cargo test -q` completes with no network and
 //! no vendored registry:
 //!
@@ -13,6 +13,7 @@
 //! | [`bench`] | `criterion` | warmup+sampling micro-bench runner, `bench_group!`/`bench_main!` |
 //! | [`sync`] | `crossbeam-channel` / `crossbeam-deque` | bounded MPSC channels with blocking and shedding sends; lock-free bounded MPMC steal queues |
 //! | [`pool`] | `rayon` (scoped pools) | persistent lazily-started worker pool with `StealQueue` handoff, caller participation, and scoped fork/join |
+//! | [`alloc`] | allocation-counting test allocators | `CountingAlloc`, a per-thread counting `GlobalAlloc` over `System` for allocation-budget tests |
 //!
 //! Everything is deterministic by construction: generators are seeded,
 //! property cases derive from a fixed base seed, and JSON output has a
@@ -20,6 +21,7 @@
 //! paper reproduction makes (identical episode traces, weights, and
 //! Q-tables from identical seeds).
 
+pub mod alloc;
 pub mod bench;
 pub mod json;
 pub mod pool;

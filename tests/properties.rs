@@ -6,6 +6,7 @@ use jarvis_repro::model::{
 };
 use jarvis_repro::neural::metrics::{auc, Confusion};
 use jarvis_repro::policy::{MatchMode, SafeTransitionTable};
+use jarvis_repro::rl::policy::{argmax, mask_bits, mask_set, mask_words, max_q_c};
 use jarvis_repro::rl::{top_c, ReplayBuffer};
 use jarvis_stdkit::prop_assert;
 use jarvis_stdkit::prop_assert_eq;
@@ -199,6 +200,145 @@ fn top_c_is_a_ranking() {
             prop_assert!(q[w[0]] >= q[w[1]]);
         }
         prop_assert_eq!(top_c(&q, &valid, q.len()), None);
+        Ok(())
+    });
+}
+
+/// The serving runtime's `Max(Q, c)` walk as it stood before the one-pass
+/// rewrite, kept as the oracle: argsort the whole head (descending Q,
+/// ascending index on ties), take the first valid entry and its position.
+fn argsort_walk(q: &[f64], valid: &[usize]) -> (usize, f64, usize) {
+    let mut ranked: Vec<usize> = (0..q.len()).collect();
+    ranked.sort_by(|&a, &b| {
+        q[b].partial_cmp(&q[a]).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
+    });
+    ranked
+        .iter()
+        .enumerate()
+        .find(|(_, a)| valid.contains(a))
+        .map(|(c, &a)| (a, q[a], c))
+        .unwrap_or((0, q.first().copied().unwrap_or(0.0), 0))
+}
+
+/// The one-pass walk exactly as `run_batch` reports it.
+fn one_pass_walk(q: &[f64], mask: &[u64]) -> (usize, f64, usize) {
+    match max_q_c(q, mask) {
+        Some((a, c)) => (a, q[a], c),
+        None => (0, q.first().copied().unwrap_or(0.0), 0),
+    }
+}
+
+/// A random subset of `0..n` of exactly `k` actions, ascending.
+fn gen_subset(g: &mut Gen, n: usize, k: usize) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..n).collect();
+    for i in 0..k {
+        let j = g.usize_in(i, n - 1);
+        idx.swap(i, j);
+    }
+    let mut subset = idx[..k].to_vec();
+    subset.sort_unstable();
+    subset
+}
+
+fn to_mask(valid: &[usize], n: usize) -> Vec<u64> {
+    let mut mask = vec![0u64; mask_words(n)];
+    for &a in valid {
+        mask_set(&mut mask, a);
+    }
+    mask
+}
+
+/// A Q head of 1..=130 actions (one to three mask words): wide random
+/// values, values from a small pool that forces ties and signed zeros, or
+/// one value throughout.
+fn gen_head(g: &mut Gen) -> Vec<f64> {
+    const POOL: [f64; 5] = [-1.5, -0.0, 0.0, 0.25, 2.0];
+    let n = g.usize_in(1, 130);
+    match g.usize_in(0, 2) {
+        0 => (0..n).map(|_| g.f64_in(-10.0, 10.0)).collect(),
+        1 => (0..n).map(|_| *g.choose(&POOL)).collect(),
+        _ => vec![*g.choose(&POOL); n],
+    }
+}
+
+/// The one-pass `Max(Q, c)` walk over a valid-action bitmask reports
+/// bit-identically what the argsort walk did — action, Q value and rank —
+/// on NaN-free heads, for every valid-set size from 1 to the head width.
+#[test]
+fn one_pass_walk_matches_the_argsort_oracle() {
+    Config::with_cases(64).run(|g| {
+        let q = gen_head(g);
+        for k in 1..=q.len() {
+            let valid = gen_subset(g, q.len(), k);
+            let mask = to_mask(&valid, q.len());
+            prop_assert_eq!(mask_bits(&mask).collect::<Vec<_>>(), valid.clone());
+            let (flat, q_value, rank) = one_pass_walk(&q, &mask);
+            let (want_flat, want_q, want_rank) = argsort_walk(&q, &valid);
+            prop_assert_eq!((flat, rank), (want_flat, want_rank), "k = {k}");
+            prop_assert_eq!(q_value.to_bits(), want_q.to_bits(), "k = {k}");
+        }
+        Ok(())
+    });
+}
+
+/// On a head holding NaNs the walk's action follows `argmax`'s rule (a
+/// NaN never displaces, and is never displaced by, the running best).
+#[test]
+fn one_pass_walk_on_nan_rows_follows_argmax() {
+    Config::with_cases(64).run(|g| {
+        let mut q = gen_head(g);
+        for _ in 0..g.usize_in(1, 4) {
+            let at = g.usize_in(0, q.len() - 1);
+            q[at] = f64::NAN;
+        }
+        let k = g.usize_in(1, q.len());
+        let valid = gen_subset(g, q.len(), k);
+        let (flat, q_value, _) = one_pass_walk(&q, &to_mask(&valid, q.len()));
+        prop_assert_eq!(Some(flat), argmax(&q, &valid));
+        prop_assert_eq!(q_value.to_bits(), q[flat].to_bits());
+        Ok(())
+    });
+}
+
+/// `for_each_safe_mini` — the valid-action mask's table probe — marks
+/// exactly the mini-actions the per-action `is_safe_action` rule calls
+/// safe, in every match mode, over random tables (singles, joint actions
+/// and the no-op allowed from random states) and random query states.
+#[test]
+fn safe_mini_marks_match_the_per_action_oracle() {
+    Config::with_cases(64).run(|g| {
+        let fsm = gen_fsm(g);
+        let minis = fsm.mini_actions();
+        let mut table = SafeTransitionTable::new();
+        table.set_allow_noop(g.bool(0.5));
+        for _ in 0..g.usize_in(0, 24) {
+            let state = gen_state(g, &fsm);
+            let action = match g.usize_in(0, 5) {
+                0 => EnvAction::noop(),
+                1 => {
+                    let (a, b) = (*g.choose(&minis), *g.choose(&minis));
+                    EnvAction::try_from_minis(vec![a, b]).unwrap_or_else(|_| EnvAction::single(a))
+                }
+                _ => EnvAction::single(*g.choose(&minis)),
+            };
+            table.allow(&fsm, &state, &action);
+        }
+        let allowed: Vec<EnvState> = table.iter().map(|(s, _)| s.clone()).collect();
+        for _ in 0..8 {
+            let state = if !allowed.is_empty() && g.bool(0.5) {
+                g.choose(&allowed).clone()
+            } else {
+                gen_state(g, &fsm)
+            };
+            for mode in [MatchMode::Exact, MatchMode::DeviceContext, MatchMode::Generalized] {
+                let mut marked = Vec::new();
+                table.for_each_safe_mini(&state, &minis, mode, |i| marked.push(i));
+                let oracle: Vec<usize> = (0..minis.len())
+                    .filter(|&i| table.is_safe_action(&state, &EnvAction::single(minis[i]), mode))
+                    .collect();
+                prop_assert_eq!(&marked, &oracle, "{mode:?}");
+            }
+        }
         Ok(())
     });
 }
