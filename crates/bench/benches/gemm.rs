@@ -3,13 +3,12 @@
 //! Sweeps three layers of the decision-path stack:
 //!
 //! * **GEMM tiers** — the naive reference vs the blocked kernels pinned to
-//!   every available [`SimdTier`] (scalar, SSE2, AVX2, AVX2+FMA), plus the
-//!   detected tier under worker-pool fan-out (`pool4`), for `matmul` and
-//!   the fused `matmul_transpose` at 64/128/256.
+//!   every available [`SimdTier`] (scalar, AVX2), for `matmul` and the
+//!   fused `matmul_transpose` at 64/128/256.
 //! * **Batched forward** — a serving-shaped MLP (32 → 64 → 64 → 9) at batch
 //!   sizes 16/32/64/128: f64 pinned to scalar (the pre-SIMD kernels), f64
-//!   at the detected tier, f64 through the pool, and the int8 quantized
-//!   forward at both scalar and the detected tier.
+//!   at the detected tier, and the int8 quantized forward at both scalar
+//!   and the detected tier.
 //! * **Worker pool** — `run_scoped` fork/join overhead vs a fresh
 //!   `thread::scope` spawn for the same task set.
 //! * **Training step** — one DQN `Replay(BSize)` (`train/dqn_replay/32`)
@@ -22,14 +21,12 @@
 //!
 //! * quantized forward ≥ [`QUANT_SPEEDUP_GATE`]× over the scalar-tier f64
 //!   forward at batches 16/32/64;
-//! * pool-threaded GEMM no slower than [`POOL_PARITY_GATE`]× single-thread
-//!   at 64/128 (threaded dispatch used to *lose* 2–3× there);
 //! * quantized argmax agreement ≥ [`AGREEMENT_GATE`] on the eval corpus;
 //!
-//! The first two are *performance* gates calibrated on the AVX2 baseline
-//! box; when the detected SIMD tier is below AVX2 they print warnings
-//! instead of failing (see [`gate_failures`]). The agreement gate and the
-//! baseline regression check are enforced on every tier.
+//! The first is a *performance* gate calibrated on the AVX2 baseline box;
+//! when the detected SIMD tier is below AVX2 it prints warnings instead of
+//! failing (see [`gate_failures`]). The agreement gate and the baseline
+//! regression check are enforced on every tier.
 //!
 //! plus the v1-style ≤2× regression check of every gated kernel (GEMM,
 //! forward and training-step rows) against the recorded minima in
@@ -43,8 +40,7 @@ use std::time::{Duration, Instant};
 
 use jarvis::{DayScenario, HomeRlEnv, RewardWeights, SmartReward};
 use jarvis_neural::{
-    gemm, Activation, Loss, Matrix, Network, OptimizerKind, Parallelism, QuantizedNetwork,
-    SimdTier,
+    gemm, Activation, Loss, Matrix, Network, OptimizerKind, QuantizedNetwork, SimdTier,
 };
 use jarvis_policy::TaBehavior;
 use jarvis_rl::{DqnAgent, DqnConfig, Environment, Experience};
@@ -54,8 +50,8 @@ use jarvis_stdkit::json::Json;
 use jarvis_stdkit::pool::WorkerPool;
 use jarvis_stdkit::rng::{ChaCha8Rng, Rng, SeedableRng};
 
-/// Sizes swept for square `m×k×n` products. 256 is the acceptance size;
-/// 64 sits at the parallel threshold, 128 in between.
+/// Sizes swept for square `m×k×n` products: 64 is the widest layer the
+/// system runs, 128 its largest batch, 256 beyond both.
 const SIZES: [usize; 3] = [64, 128, 256];
 
 /// Batch sizes swept for the serving-shaped forward pass.
@@ -64,14 +60,6 @@ const BATCHES: [usize; 4] = [16, 32, 64, 128];
 /// The quantized forward must beat the scalar-tier f64 forward by at least
 /// this factor at batches 16/32/64 (the serving window sizes).
 const QUANT_SPEEDUP_GATE: f64 = 3.0;
-
-/// Pool-threaded GEMM may cost at most this factor over single-thread at
-/// 64/128. Before the persistent pool, per-call spawning made "threaded"
-/// 2–3× *slower* at these sizes. The gate is 1.5 rather than 1.0 because
-/// on a single-core host the pool's extra workers can only time-slice;
-/// the inline-caller path keeps parity near 1.0, but scheduler jitter on
-/// a contended box adds up to ~1.3× at n=128.
-const POOL_PARITY_GATE: f64 = 1.5;
 
 /// Minimum quantized/f64 greedy-argmax agreement on the eval corpus.
 const AGREEMENT_GATE: f64 = 0.95;
@@ -90,8 +78,6 @@ struct Measurement {
 struct Gates {
     /// batch → scalar-f64-min / quant-min (minima; see `run_suite`).
     quant_speedup: Vec<(usize, f64)>,
-    /// size → pool4-min / best-single-tier-min.
-    pool_parity: Vec<(usize, f64)>,
     /// Quantized greedy-argmax agreement with f64 on the eval corpus.
     argmax_agreement: f64,
 }
@@ -160,7 +146,7 @@ fn corpus(seed: u64, rows: usize, width: usize) -> Vec<Vec<f64>> {
 /// accessors — this is exactly what `Network::forward_batch` computes, but
 /// with the kernel tier under bench control (`Scalar` reproduces the
 /// pre-SIMD blocked kernels this PR's speedups are measured against).
-fn forward_f64_tier(net: &Network, rows: &[Vec<f64>], par: Parallelism, tier: SimdTier) -> Vec<f64> {
+fn forward_f64_tier(net: &Network, rows: &[Vec<f64>], tier: SimdTier) -> Vec<f64> {
     let batch = rows.len();
     let mut width = net.input_size();
     let mut act: Vec<f64> = rows.iter().flat_map(|r| r.iter().copied()).collect();
@@ -174,7 +160,6 @@ fn forward_f64_tier(net: &Network, rows: &[Vec<f64>], par: Parallelism, tier: Si
             batch,
             width,
             units,
-            par,
             tier,
         );
         let bias = layer.bias();
@@ -248,7 +233,6 @@ fn run_suite(budget: Duration) -> (Vec<Measurement>, Gates) {
     );
 
     // --- GEMM per-tier sweep -------------------------------------------
-    let mut pool_parity = Vec::new();
     for n in SIZES {
         let a = random_matrix(&mut rng, n, n);
         let b = random_matrix(&mut rng, n, n);
@@ -261,52 +245,28 @@ fn run_suite(budget: Duration) -> (Vec<Measurement>, Gates) {
             out
         });
         record(&mut results, format!("gemm/naive/{n}"), naive);
-        let mut best_single = f64::INFINITY;
         for &tier in tiers {
-            let med = record(
+            record(
                 &mut results,
                 format!("gemm/{}/{n}", tier.name()),
                 measure(budget, || {
                     let mut out = vec![0.0; n * n];
-                    gemm::matmul_with_tier(am, bm, &mut out, n, n, n, Parallelism::Single, tier);
+                    gemm::matmul_with_tier(am, bm, &mut out, n, n, n, tier);
                     out
                 }),
             );
-            best_single = best_single.min(med);
         }
-        let pool4 = record(
-            &mut results,
-            format!("gemm/pool4/{n}"),
-            measure(budget, || {
-                let mut out = vec![0.0; n * n];
-                gemm::matmul_with_tier(am, bm, &mut out, n, n, n, Parallelism::Threads(4), detected);
-                out
-            }),
-        );
-        if n < 256 {
-            pool_parity.push((n, pool4 / best_single));
-        }
-
         for &tier in tiers {
             record(
                 &mut results,
                 format!("gemm_t/{}/{n}", tier.name()),
                 measure(budget, || {
                     let mut out = vec![0.0; n * n];
-                    gemm::matmul_transpose_with_tier(am, btm, &mut out, n, n, n, Parallelism::Single, tier);
+                    gemm::matmul_transpose_with_tier(am, btm, &mut out, n, n, n, tier);
                     out
                 }),
             );
         }
-        record(
-            &mut results,
-            format!("gemm_t/pool4/{n}"),
-            measure(budget, || {
-                let mut out = vec![0.0; n * n];
-                gemm::matmul_transpose_with_tier(am, btm, &mut out, n, n, n, Parallelism::Threads(4), detected);
-                out
-            }),
-        );
     }
 
     // --- Serving-shaped forward sweep ----------------------------------
@@ -327,17 +287,12 @@ fn run_suite(budget: Duration) -> (Vec<Measurement>, Gates) {
         let scalar = record(
             &mut results,
             format!("forward/f64_scalar/{batch}"),
-            measure(budget, || forward_f64_tier(&net, &rows, Parallelism::Single, SimdTier::Scalar)),
+            measure(budget, || forward_f64_tier(&net, &rows, SimdTier::Scalar)),
         );
         record(
             &mut results,
             format!("forward/f64/{batch}"),
-            measure(budget, || forward_f64_tier(&net, &rows, Parallelism::Single, detected)),
-        );
-        record(
-            &mut results,
-            format!("forward/f64_pool4/{batch}"),
-            measure(budget, || forward_f64_tier(&net, &rows, Parallelism::Threads(4), detected)),
+            measure(budget, || forward_f64_tier(&net, &rows, detected)),
         );
         record(
             &mut results,
@@ -391,7 +346,7 @@ fn run_suite(budget: Duration) -> (Vec<Measurement>, Gates) {
         }),
     );
 
-    (results, Gates { quant_speedup, pool_parity, argmax_agreement })
+    (results, Gates { quant_speedup, argmax_agreement })
 }
 
 fn to_json(results: &[Measurement], gates: &Gates) -> String {
@@ -415,13 +370,6 @@ fn to_json(results: &[Measurement], gates: &Gates) -> String {
             ])
         })
         .collect();
-    let parity: Vec<Json> = gates
-        .pool_parity
-        .iter()
-        .map(|&(n, r)| {
-            Json::Obj(vec![("size".into(), Json::Int(n as i64)), ("ratio".into(), Json::Float(r))])
-        })
-        .collect();
     Json::Obj(vec![
         ("schema".into(), Json::Str("jarvis-neural-bench-v2".into())),
         (
@@ -436,8 +384,6 @@ fn to_json(results: &[Measurement], gates: &Gates) -> String {
             Json::Obj(vec![
                 ("quant_speedup_gate".into(), Json::Float(QUANT_SPEEDUP_GATE)),
                 ("quant_speedup".into(), Json::Arr(speedups)),
-                ("pool_parity_gate".into(), Json::Float(POOL_PARITY_GATE)),
-                ("pool_parity".into(), Json::Arr(parity)),
                 ("argmax_agreement_gate".into(), Json::Float(AGREEMENT_GATE)),
                 ("argmax_agreement".into(), Json::Float(gates.argmax_agreement)),
             ]),
@@ -450,10 +396,10 @@ fn to_json(results: &[Measurement], gates: &Gates) -> String {
 /// Enforce the acceptance gates from this run's own measurements. Returns
 /// human-readable failures (empty = all gates pass).
 ///
-/// The speedup and parity targets were set on the AVX2 baseline box; on a
-/// host whose detected tier is below AVX2 the hardware cannot reach them
-/// no matter how correct the code is, so there the two *performance* gates
-/// are demoted to printed warnings. The argmax-agreement gate is about
+/// The speedup target was set on the AVX2 baseline box; on a host whose
+/// detected tier is below AVX2 the hardware cannot reach it no matter how
+/// correct the code is, so there the *performance* gate is demoted to
+/// printed warnings. The argmax-agreement gate is about
 /// numerics, not speed — it stays a hard failure on every tier (as does
 /// the bitwise-conformance battery in `crates/neural/tests/properties.rs`,
 /// which this bench does not own).
@@ -472,14 +418,6 @@ fn gate_failures(gates: &Gates) -> Vec<String> {
             perf(format!(
                 "quantized forward at batch {batch} is only {speedup:.2}x over f64-scalar \
                  (gate: {QUANT_SPEEDUP_GATE}x)"
-            ));
-        }
-    }
-    for &(n, ratio) in &gates.pool_parity {
-        if ratio > POOL_PARITY_GATE {
-            perf(format!(
-                "pool-threaded gemm at {n} costs {ratio:.2}x single-thread \
-                 (gate: {POOL_PARITY_GATE}x)"
             ));
         }
     }
@@ -505,9 +443,8 @@ fn regressions(results: &[Measurement], baseline: &Json) -> Vec<String> {
         .get("results")
         .and_then(Json::as_array)
         .expect("baseline has a results array");
-    // Entries measured at the *detected* tier (pool fan-out, the
-    // detected-tier f64 forward, the detected-tier quantized forward, the
-    // training step) are
+    // Entries measured at the *detected* tier (the detected-tier f64
+    // forward, the detected-tier quantized forward, the training step) are
     // only comparable when this host detects the same tier the baseline
     // box recorded; on a weaker host they would report a phantom
     // regression of correct code. Tier-pinned entries (gemm/<tier>/,
@@ -523,8 +460,7 @@ fn regressions(results: &[Measurement], baseline: &Json) -> Vec<String> {
         );
     }
     let tier_dependent = |name: &str| {
-        name.contains("/pool4/")
-            || name.starts_with("forward/f64/")
+        name.starts_with("forward/f64/")
             || name.starts_with("forward/quant/")
             || name.starts_with("train/")
     };
@@ -597,9 +533,8 @@ fn main() {
             "warn-only below avx2"
         };
         println!(
-            "all gates pass: quant >= {QUANT_SPEEDUP_GATE}x at batches 16-64 and pool parity \
-             <= {POOL_PARITY_GATE}x at 64/128 ({perf_scope}), agreement >= {AGREEMENT_GATE}, \
-             kernels within 2x of {path}"
+            "all gates pass: quant >= {QUANT_SPEEDUP_GATE}x at batches 16-64 ({perf_scope}), \
+             agreement >= {AGREEMENT_GATE}, kernels within 2x of {path}"
         );
     }
 }

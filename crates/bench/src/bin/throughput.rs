@@ -81,7 +81,7 @@ use std::time::Instant;
 
 use jarvis::{Jarvis, JarvisConfig, OptimizerConfig, Verdict};
 use jarvis_policy::SafeTransitionTable;
-use jarvis_rl::{DqnAgent, DqnConfig, Parallelism};
+use jarvis_rl::{DqnAgent, DqnConfig};
 use jarvis_runtime::{
     EventKind, OnlineConfig, Outcome, RuntimeConfig, ServingRuntime, ShadowGates, SupervisorConfig,
     SwapPoint,
@@ -126,7 +126,6 @@ fn fixture() -> Fixture {
     let num_actions = home.agent_mini_actions().len() + 1;
     let mut cfg = DqnConfig::new(state_dim, num_actions);
     cfg.seed = 7;
-    cfg.parallelism = Parallelism::Single;
     let policy = DqnAgent::new(cfg).expect("policy network");
     Fixture { home, policy }
 }
@@ -327,7 +326,6 @@ fn online_rt(
     let cfg = f.policy.config();
     let mut alt_cfg = DqnConfig::new(cfg.state_dim, cfg.num_actions);
     alt_cfg.seed = 99;
-    alt_cfg.parallelism = Parallelism::Single;
     let alt = DqnAgent::new(alt_cfg).expect("alt policy network");
     // invariant: enable_online succeeded, so the store exists
     let version = rt.policy_store_mut().expect("store exists").register(alt.checkpoint());

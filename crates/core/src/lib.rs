@@ -67,7 +67,6 @@ pub use monitor::{RuntimeMonitor, Verdict};
 pub use optimizer::{
     Optimizer, OptimizerCheckpoint, OptimizerConfig, TabularOptimizer, TrainingStats,
 };
-pub use jarvis_rl::Parallelism;
 pub use reward::{
     EnergyCost, EnergyUse, FunctionalityReward, RewardWeights, SmartReward, Snapshot,
     TemperatureComfort,

@@ -9,9 +9,7 @@
 
 use crate::env::HomeRlEnv;
 use crate::error::JarvisError;
-use jarvis_rl::{
-    DqnAgent, DqnCheckpoint, DqnConfig, Environment, EpsilonSchedule, Experience, Parallelism,
-};
+use jarvis_rl::{DqnAgent, DqnCheckpoint, DqnConfig, Environment, EpsilonSchedule, Experience};
 use jarvis_stdkit::json::{FromJson, ToJson};
 use jarvis_stdkit::json_struct;
 use crate::analysis::DayMetrics;
@@ -38,9 +36,6 @@ pub struct OptimizerConfig {
     pub replay_every: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Kernel worker fan-out for the DNN (`JARVIS_THREADS` honoured under
-    /// [`Parallelism::Auto`]). Bit-identical results at every setting.
-    pub parallelism: Parallelism,
 }
 
 impl Default for OptimizerConfig {
@@ -55,7 +50,6 @@ impl Default for OptimizerConfig {
             schedule: EpsilonSchedule::new(1.0, 0.05, 0.9, f64::INFINITY),
             replay_every: 8,
             seed: 0,
-            parallelism: Parallelism::Single,
         }
     }
 }
@@ -70,7 +64,6 @@ json_struct!(OptimizerConfig {
     schedule,
     replay_every,
     seed,
-    parallelism,
 });
 
 impl OptimizerConfig {
@@ -170,18 +163,14 @@ impl Optimizer {
     /// invalid.
     pub fn new(env: &HomeRlEnv<'_>, config: OptimizerConfig) -> Result<Self, JarvisError> {
         let dqn = DqnConfig {
-            state_dim: env.state_dim(),
-            num_actions: env.num_actions(),
             hidden: config.hidden.clone(),
             learning_rate: config.learning_rate,
             gamma: config.gamma,
             replay_capacity: config.replay_capacity,
             batch_size: config.batch_size,
             schedule: config.schedule,
-            target_sync_every: None,
-            double_dqn: false,
             seed: config.seed,
-            parallelism: config.parallelism,
+            ..DqnConfig::new(env.state_dim(), env.num_actions())
         };
         Ok(Optimizer { agent: DqnAgent::new(dqn)?, config })
     }

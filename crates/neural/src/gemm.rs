@@ -1,5 +1,4 @@
-//! Cache-blocked, register-tiled, SIMD-dispatched, optionally row-parallel
-//! GEMM kernels.
+//! Register-tiled, SIMD-dispatched GEMM kernels.
 //!
 //! Every Jarvis training step — the DQN `Replay(BSize)` of Algorithm 2 and
 //! the ANN anomaly filter of Algorithm 1 — bottoms out in the two products
@@ -29,84 +28,37 @@
 //!
 //! # SIMD tiers
 //!
-//! The tile micro-kernels exist at four [`SimdTier`]s — `Scalar` (plain
-//! Rust), `Sse2` (explicit 2-lane `__m128d`), `Avx2` and `Avx2Fma`
-//! (4-lane `__m256d`; see [`simd`](crate::simd) for why the FMA tier
-//! still uses unfused mul+add). Dispatch is per call: [`matmul`] uses the
-//! best runtime-detected tier ([`SimdTier::detect`], overridable once via
-//! `JARVIS_SIMD`), and [`matmul_with_tier`] pins one explicitly. Lanes
-//! map one-to-one onto output columns — each lane is a single scalar
-//! chain — so **every tier is bit-identical** to the naive references for
-//! every input, including NaN and infinity patterns. The conformance
-//! battery in `crates/neural/tests/properties.rs` sweeps every available
-//! tier to enforce this.
+//! The tile micro-kernels exist at two [`SimdTier`]s — `Scalar` (plain
+//! Rust, every architecture) and `Avx2` (4-lane `__m256d`; see
+//! [`simd`](crate::simd) for why it stays unfused). [`matmul`] and
+//! [`matmul_transpose`] use [`SimdTier::detect`]; the `_with_tier` entry
+//! points pin one explicitly. Lanes map one-to-one onto output columns —
+//! each lane is a single scalar chain — so **both tiers are bit-identical**
+//! to the naive references for every input, including NaN and infinity
+//! patterns. The conformance battery in `crates/neural/tests/properties.rs`
+//! sweeps every available tier to enforce this.
 //!
-//! # Determinism under parallelism
+//! No layer here is wider than 64 and no batch larger than 128, so the
+//! kernels run on the calling thread: row-block threading, SSE2 and an
+//! FMA-enabled AVX2 build never beat these two tiers at those shapes.
 //!
-//! Work fans out across the persistent
-//! [`WorkerPool`](jarvis_stdkit::pool::WorkerPool) by *output row blocks*
-//! (chunk count fixed by [`Parallelism`], never by pool occupancy): each
-//! output element is computed entirely by one task with the same reduction
-//! order as the sequential kernel, so results are bit-identical at every
-//! thread count and pool size. `tests/determinism.rs` and the kernel
-//! conformance properties enforce this.
+//! # Packing scratch
+//!
+//! Both kernels pack `A` (and `matmul_transpose` each `B` panel) into
+//! per-thread buffers that live for the thread and only grow, so a call at
+//! a shape the thread has already seen allocates nothing.
 
-use jarvis_stdkit::pool::WorkerPool;
-use std::sync::OnceLock;
+use std::cell::RefCell;
 
-/// How many worker threads the linear-algebra kernels may use.
-///
-/// Results are **bit-identical at every setting** (see the module docs);
-/// the knob only trades wall-clock time. The default everywhere is
-/// [`Parallelism::Single`], which never hands work to the pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum Parallelism {
-    /// Single-threaded; never fans out.
-    Single,
-    /// Exactly `n` work chunks (clamped to at least 1).
-    Threads(usize),
-    /// `JARVIS_THREADS` when set to a positive integer, else the host's
-    /// available parallelism — resolved **once** per process via
-    /// [`jarvis_stdkit::pool::configured_threads`] (PR 2 re-read the
-    /// environment on every call, a lock on every kernel dispatch).
-    Auto,
-}
-
-jarvis_stdkit::json_enum!(Parallelism { Single, Threads(n), Auto });
-
-impl Default for Parallelism {
-    fn default() -> Self {
-        Parallelism::Single
-    }
-}
-
-impl Parallelism {
-    /// The concrete worker count this setting resolves to on this host.
-    #[must_use]
-    pub fn threads(self) -> usize {
-        match self {
-            Parallelism::Single => 1,
-            Parallelism::Threads(n) => n.max(1),
-            Parallelism::Auto => jarvis_stdkit::pool::configured_threads(),
-        }
-    }
-}
-
-/// Instruction-set tier of the GEMM micro-kernels. All tiers are
+/// Instruction-set tier of the GEMM micro-kernels. Both tiers are
 /// bit-identical (module docs); the tier only trades wall-clock time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[non_exhaustive]
 pub enum SimdTier {
     /// Portable scalar tiles — the fallback on every architecture.
     Scalar,
-    /// Explicit 2-lane `__m128d` tiles; baseline on x86-64.
-    Sse2,
     /// Explicit 4-lane `__m256d` tiles; requires runtime `avx2`.
     Avx2,
-    /// The AVX2 tiles compiled with `fma` also enabled (arithmetic stays
-    /// unfused — see `crate::simd`); requires runtime `avx2` **and** `fma`.
-    Avx2Fma,
 }
 
 impl SimdTier {
@@ -114,64 +66,42 @@ impl SimdTier {
     /// Always starts with [`SimdTier::Scalar`].
     #[must_use]
     pub fn available() -> &'static [SimdTier] {
-        static AVAILABLE: OnceLock<Vec<SimdTier>> = OnceLock::new();
-        AVAILABLE.get_or_init(|| {
-            #[allow(unused_mut)]
-            let mut tiers = vec![SimdTier::Scalar];
-            #[cfg(target_arch = "x86_64")]
-            {
-                tiers.push(SimdTier::Sse2);
-                if is_x86_feature_detected!("avx2") {
-                    tiers.push(SimdTier::Avx2);
-                    if is_x86_feature_detected!("fma") {
-                        tiers.push(SimdTier::Avx2Fma);
-                    }
-                }
-            }
-            tiers
-        })
+        match SimdTier::detect() {
+            SimdTier::Avx2 => &[SimdTier::Scalar, SimdTier::Avx2],
+            _ => &[SimdTier::Scalar],
+        }
     }
 
     /// Whether this tier's kernels can run on this host.
     #[must_use]
     pub fn is_available(self) -> bool {
-        SimdTier::available().contains(&self)
+        self <= SimdTier::detect()
     }
 
-    /// The tier [`matmul`] and [`matmul_transpose`] dispatch to: the best
-    /// available one, unless `JARVIS_SIMD` (read **once** per process)
-    /// names an available tier (`scalar` | `sse2` | `avx2` | `avx2fma`).
-    /// Unknown or unavailable names are ignored.
+    /// The tier [`matmul`] and [`matmul_transpose`] dispatch to: `Avx2`
+    /// when the CPU has it, else `Scalar`. Miri cannot run the intrinsics,
+    /// so under `cfg(miri)` it is always `Scalar`.
     #[must_use]
     pub fn detect() -> SimdTier {
-        static ACTIVE: OnceLock<SimdTier> = OnceLock::new();
-        *ACTIVE.get_or_init(|| {
-            let best = *SimdTier::available().last().unwrap_or(&SimdTier::Scalar);
-            match std::env::var("JARVIS_SIMD").ok().as_deref().map(str::trim) {
-                Some("scalar") => SimdTier::Scalar,
-                Some("sse2") if SimdTier::Sse2.is_available() => SimdTier::Sse2,
-                Some("avx2") if SimdTier::Avx2.is_available() => SimdTier::Avx2,
-                Some("avx2fma") if SimdTier::Avx2Fma.is_available() => SimdTier::Avx2Fma,
-                _ => best,
-            }
-        })
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return SimdTier::Avx2;
+        }
+        SimdTier::Scalar
     }
 
-    /// Short lowercase name, as accepted by `JARVIS_SIMD` and recorded in
-    /// `BENCH_neural.json`.
+    /// Short lowercase name, as recorded in `BENCH_neural.json`.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             SimdTier::Scalar => "scalar",
-            SimdTier::Sse2 => "sse2",
             SimdTier::Avx2 => "avx2",
-            SimdTier::Avx2Fma => "avx2fma",
         }
     }
 
-    /// Clamp to something runnable: an unavailable tier (e.g. `Avx2` on a
-    /// pre-AVX2 host) degrades to `Scalar` instead of invoking kernels
-    /// the CPU cannot execute. This is what keeps the `_with_tier` entry
+    /// Clamp to something runnable: an unavailable tier (`Avx2` on a
+    /// pre-AVX2 host) degrades to `Scalar` instead of invoking kernels the
+    /// CPU cannot execute. This is what keeps the `_with_tier` entry
     /// points sound as safe functions.
     fn sanitize(self) -> SimdTier {
         if self.is_available() {
@@ -188,10 +118,6 @@ const MR: usize = 3;
 pub(crate) const NR: usize = 8;
 /// `B`-rows per packed `matmul_transpose` panel (the tile's lane width).
 pub(crate) const NR_T: usize = 8;
-
-/// Below this many multiply-adds per output chunk, parallel fan-out
-/// overhead outweighs the work and the kernels stay sequential.
-const PARALLEL_FLOP_THRESHOLD: usize = 64 * 64 * 64;
 
 /// Reference `C = A·B`: plain i-k-j loops, ascending `k`, one accumulation
 /// into each output element per step. This is the semantic definition the
@@ -222,15 +148,14 @@ pub fn matmul_transpose_naive(a: &[f64], b: &[f64], out: &mut [f64], k: usize, p
 }
 
 /// Blocked `C = A·B` over `m × k` and `k × n` operands at the detected
-/// [`SimdTier`], fanned across `par.threads()` chunks on the global pool.
-pub fn matmul(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize, par: Parallelism) {
-    matmul_with_tier(a, b, out, m, k, n, par, SimdTier::detect());
+/// [`SimdTier`].
+pub fn matmul(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
+    matmul_with_tier(a, b, out, m, k, n, SimdTier::detect());
 }
 
 /// [`matmul`] pinned to one [`SimdTier`] (unavailable tiers degrade to
-/// `Scalar`). Bit-identical to every other tier; used by the conformance
+/// `Scalar`). Bit-identical to the other tier; used by the conformance
 /// battery and the per-tier bench sweep.
-#[allow(clippy::too_many_arguments)]
 pub fn matmul_with_tier(
     a: &[f64],
     b: &[f64],
@@ -238,49 +163,54 @@ pub fn matmul_with_tier(
     m: usize,
     k: usize,
     n: usize,
-    par: Parallelism,
     tier: SimdTier,
 ) {
-    matmul_on(WorkerPool::global(), a, b, out, m, k, n, par, tier);
-}
-
-/// [`matmul_with_tier`] on an explicit pool — the conformance battery
-/// uses private pools to sweep pool sizes {1, 2, 4, 8} deterministically.
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_on(
-    pool: &WorkerPool,
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    m: usize,
-    k: usize,
-    n: usize,
-    par: Parallelism,
-    tier: SimdTier,
-) {
+    if m == 0 || k == 0 || n == 0 {
+        return;
+    }
+    debug_assert_eq!(out.len(), m * n, "matmul output shape");
     let tier = tier.sanitize();
-    run_row_blocks(pool, a, out, m, k, n, par, |a_chunk, out_chunk| {
-        matmul_chunk(a_chunk, b, out_chunk, k, n, tier);
+    with_scratch(m * k, 0, |apack, _| {
+        pack_a(a, k, m, apack);
+        let mut i = 0;
+        while i < m {
+            let mr = (m - i).min(MR);
+            let a_block = &a[i * k..(i + mr) * k];
+            let apack_block = &apack[i * k..(i + mr) * k];
+            let out_block = &mut out[i * n..(i + mr) * n];
+            let mut j = 0;
+            while j + NR <= n {
+                match mr {
+                    1 => mm_tile_tier::<1>(tier, apack_block, b, out_block, j, n),
+                    2 => mm_tile_tier::<2>(tier, apack_block, b, out_block, j, n),
+                    _ => mm_tile_tier::<3>(tier, apack_block, b, out_block, j, n),
+                }
+                j += NR;
+            }
+            if j < n {
+                mm_edge(a_block, b, out_block, j, k, n, mr);
+            }
+            i += mr;
+        }
     });
 }
 
 /// Blocked `C = A·Bᵀ` over `m × k` and `p × k` operands at the detected
-/// [`SimdTier`], fanned across `par.threads()` chunks on the global pool.
-pub fn matmul_transpose(
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    m: usize,
-    k: usize,
-    p: usize,
-    par: Parallelism,
-) {
-    matmul_transpose_with_tier(a, b, out, m, k, p, par, SimdTier::detect());
+/// [`SimdTier`].
+pub fn matmul_transpose(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, p: usize) {
+    matmul_transpose_with_tier(a, b, out, m, k, p, SimdTier::detect());
 }
 
 /// [`matmul_transpose`] pinned to one [`SimdTier`] (unavailable tiers
 /// degrade to `Scalar`).
-#[allow(clippy::too_many_arguments)]
+///
+/// Each `NR_T`-row panel of `B` is first packed into an interleaved `k ×
+/// NR_T` buffer (`panel[kk * NR_T + lane] = b[(j0 + lane) * k + kk]`), which
+/// turns the naive kernel's strided column gathers into contiguous vector
+/// loads — the inner loop then has exactly the shape of [`mm_tile`] and
+/// vectorizes the same way. Packing only *moves* values, so every output
+/// element still accumulates `a[kk] · b[kk]` in ascending `k` through a
+/// single chain, and the result stays bit-identical to the naive reference.
 pub fn matmul_transpose_with_tier(
     a: &[f64],
     b: &[f64],
@@ -288,81 +218,68 @@ pub fn matmul_transpose_with_tier(
     m: usize,
     k: usize,
     p: usize,
-    par: Parallelism,
     tier: SimdTier,
 ) {
-    matmul_transpose_on(WorkerPool::global(), a, b, out, m, k, p, par, tier);
-}
-
-/// [`matmul_transpose_with_tier`] on an explicit pool (see [`matmul_on`]).
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_transpose_on(
-    pool: &WorkerPool,
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    m: usize,
-    k: usize,
-    p: usize,
-    par: Parallelism,
-    tier: SimdTier,
-) {
+    if m == 0 || p == 0 {
+        return;
+    }
+    debug_assert_eq!(out.len(), m * p, "matmul_transpose output shape");
     let tier = tier.sanitize();
-    run_row_blocks(pool, a, out, m, k, p, par, |a_chunk, out_chunk| {
-        matmul_transpose_chunk(a_chunk, b, out_chunk, k, p, tier);
+    with_scratch(m * k, k * NR_T, |apack, panel| {
+        pack_a(a, k, m, apack);
+        let mut j = 0;
+        while j < p {
+            let width = (p - j).min(NR_T);
+            for (lane, b_row) in b[j * k..].chunks_exact(k.max(1)).take(width).enumerate() {
+                for (kk, &bv) in b_row.iter().enumerate() {
+                    panel[kk * NR_T + lane] = bv;
+                }
+            }
+            // Lanes past `width` keep stale values; they are never stored.
+            let mut i = 0;
+            while i < m {
+                let mr = (m - i).min(MR);
+                let apack_block = &apack[i * k..(i + mr) * k];
+                let out_block = &mut out[i * p..(i + mr) * p];
+                match mr {
+                    1 => mt_tile_tier::<1>(tier, apack_block, panel, out_block, j, p, width),
+                    2 => mt_tile_tier::<2>(tier, apack_block, panel, out_block, j, p, width),
+                    _ => mt_tile_tier::<3>(tier, apack_block, panel, out_block, j, p, width),
+                }
+                i += mr;
+            }
+            j += width;
+        }
     });
 }
 
-/// Split `a` and `out` into matching row blocks and run `kernel` on each,
-/// sequentially or as scoped tasks on the persistent worker pool. Each
-/// output row is owned by exactly one task, and the chunk boundaries
-/// depend only on `par.threads()` — never on pool occupancy — so the
-/// reduction order per element is invariant across pool sizes.
-#[allow(clippy::too_many_arguments)]
-fn run_row_blocks(
-    pool: &WorkerPool,
-    a: &[f64],
-    out: &mut [f64],
-    m: usize,
-    k: usize,
-    n: usize,
-    par: Parallelism,
-    kernel: impl Fn(&[f64], &mut [f64]) + Sync,
-) {
-    if m == 0 || n == 0 {
-        return;
-    }
-    let threads = par.threads().min(m);
-    if threads <= 1 || m.saturating_mul(k).saturating_mul(n) < PARALLEL_FLOP_THRESHOLD {
-        kernel(a, out);
-        return;
-    }
-    let rows_per = m.div_ceil(threads);
-    let kernel = &kernel;
-    let mut tasks: Vec<jarvis_stdkit::pool::ScopedTask<'_>> = Vec::with_capacity(threads);
-    let mut a_rest = a;
-    let mut out_rest = out;
-    for _ in 0..threads {
-        let rows = rows_per.min(out_rest.len() / n);
-        if rows == 0 {
-            break;
-        }
-        let (a_chunk, a_tail) = a_rest.split_at(rows * k);
-        let (out_chunk, out_tail) = out_rest.split_at_mut(rows * n);
-        a_rest = a_tail;
-        out_rest = out_tail;
-        tasks.push(Box::new(move || kernel(a_chunk, out_chunk)));
-    }
-    pool.run_scoped(tasks);
+thread_local! {
+    /// This thread's packing buffers: packed `A`, and one packed `B` panel.
+    static SCRATCH: RefCell<(Vec<f64>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
-/// Pack the row chunk of `A` block-by-block into column-major order: block
-/// `i0..i0+mr` lands at `apack[i0 * k..]` with layout `[kk * mr + r]`, so a
-/// micro-kernel reads one contiguous `mr`-wide segment per `k` step instead
-/// of `mr` strided loads. Packing only moves values; it cannot perturb the
-/// accumulation.
-fn pack_a(a: &[f64], k: usize, rows: usize) -> Vec<f64> {
-    let mut apack = vec![0.0f64; rows * k];
+/// Run `f` on this thread's packing buffers, cut to `a_len` and
+/// `panel_len` elements. The buffers only grow, so once a thread has run a
+/// shape, later calls at that shape allocate nothing.
+fn with_scratch(a_len: usize, panel_len: usize, f: impl FnOnce(&mut [f64], &mut [f64])) {
+    SCRATCH.with(|cell| {
+        let (apack, panel) = &mut *cell.borrow_mut();
+        if apack.len() < a_len {
+            apack.resize(a_len, 0.0);
+        }
+        if panel.len() < panel_len {
+            panel.resize(panel_len, 0.0);
+        }
+        f(&mut apack[..a_len], &mut panel[..panel_len]);
+    });
+}
+
+/// Pack the `rows × k` operand `A` block-by-block into column-major order:
+/// block `i0..i0+mr` lands at `apack[i0 * k..]` with layout `[kk * mr + r]`,
+/// so a micro-kernel reads one contiguous `mr`-wide segment per `k` step
+/// instead of `mr` strided loads. Packing only moves values; it cannot
+/// perturb the accumulation.
+fn pack_a(a: &[f64], k: usize, rows: usize, apack: &mut [f64]) {
     let mut i = 0;
     while i < rows {
         let mr = (rows - i).min(MR);
@@ -374,10 +291,9 @@ fn pack_a(a: &[f64], k: usize, rows: usize) -> Vec<f64> {
         }
         i += mr;
     }
-    apack
 }
 
-/// Dispatch one `MRC × NR` `A·B` tile to the tier's micro-kernel. All
+/// Dispatch one `MRC × NR` `A·B` tile to the tier's micro-kernel. Both
 /// variants implement the identical ascending-`k` lane-per-column chain.
 #[inline]
 fn mm_tile_tier<const MRC: usize>(
@@ -389,21 +305,11 @@ fn mm_tile_tier<const MRC: usize>(
     n: usize,
 ) {
     match tier {
-        SimdTier::Scalar => mm_tile::<MRC>(apack_block, b, out_block, j, n),
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Sse2 => crate::simd::mm_tile_sse2::<MRC>(apack_block, b, out_block, j, n),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `sanitize()` upstream guarantees the features were
-        // runtime-detected before these tiers can be dispatched.
+        // SAFETY: `sanitize()` upstream guarantees `avx2` was detected
+        // before this tier can be dispatched.
         #[allow(unsafe_code)]
         SimdTier::Avx2 => unsafe { crate::simd::mm_tile_avx2::<MRC>(apack_block, b, out_block, j, n) },
-        #[cfg(target_arch = "x86_64")]
-        #[allow(unsafe_code)]
-        SimdTier::Avx2Fma => {
-            // SAFETY: as above — dispatch is reachable only post-detection.
-            unsafe { crate::simd::mm_tile_avx2fma::<MRC>(apack_block, b, out_block, j, n) }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
         _ => mm_tile::<MRC>(apack_block, b, out_block, j, n),
     }
 }
@@ -413,64 +319,20 @@ fn mm_tile_tier<const MRC: usize>(
 fn mt_tile_tier<const MRC: usize>(
     tier: SimdTier,
     apack_block: &[f64],
-    packed: &[f64],
+    panel: &[f64],
     out_block: &mut [f64],
     j: usize,
     p: usize,
     width: usize,
 ) {
     match tier {
-        SimdTier::Scalar => mt_tile::<MRC>(apack_block, packed, out_block, j, p, width),
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Sse2 => {
-            crate::simd::mt_tile_sse2::<MRC>(apack_block, packed, out_block, j, p, width);
-        }
         #[cfg(target_arch = "x86_64")]
         #[allow(unsafe_code)]
         SimdTier::Avx2 => {
             // SAFETY: dispatch is reachable only after runtime detection.
-            unsafe { crate::simd::mt_tile_avx2::<MRC>(apack_block, packed, out_block, j, p, width) }
+            unsafe { crate::simd::mt_tile_avx2::<MRC>(apack_block, panel, out_block, j, p, width) }
         }
-        #[cfg(target_arch = "x86_64")]
-        #[allow(unsafe_code)]
-        SimdTier::Avx2Fma => {
-            // SAFETY: dispatch is reachable only after runtime detection.
-            unsafe {
-                crate::simd::mt_tile_avx2fma::<MRC>(apack_block, packed, out_block, j, p, width)
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => mt_tile::<MRC>(apack_block, packed, out_block, j, p, width),
-    }
-}
-
-/// Sequential blocked `A·B` on a row chunk: `rows × k` by `k × n`.
-fn matmul_chunk(a: &[f64], b: &[f64], out: &mut [f64], k: usize, n: usize, tier: SimdTier) {
-    if k == 0 || n == 0 {
-        return;
-    }
-    let rows = out.len() / n;
-    let apack = pack_a(a, k, rows);
-    let mut i = 0;
-    while i < rows {
-        let mr = (rows - i).min(MR);
-        let a_block = &a[i * k..(i + mr) * k];
-        let apack_block = &apack[i * k..(i + mr) * k];
-        let out_block = &mut out[i * n..(i + mr) * n];
-        let mut j = 0;
-        while j + NR <= n {
-            match mr {
-                1 => mm_tile_tier::<1>(tier, apack_block, b, out_block, j, n),
-                2 => mm_tile_tier::<2>(tier, apack_block, b, out_block, j, n),
-                3 => mm_tile_tier::<3>(tier, apack_block, b, out_block, j, n),
-                _ => mm_tile_tier::<4>(tier, apack_block, b, out_block, j, n),
-            }
-            j += NR;
-        }
-        if j < n {
-            mm_edge(a_block, b, out_block, j, k, n, mr);
-        }
-        i += mr;
+        _ => mt_tile::<MRC>(apack_block, panel, out_block, j, p, width),
     }
 }
 
@@ -522,48 +384,6 @@ fn mm_edge(
             }
             out_block[r * n + j] = acc;
         }
-    }
-}
-
-/// Sequential blocked `A·Bᵀ` on a row chunk: `rows × k` by `(p × k)ᵀ`.
-///
-/// Each `NR_T`-row panel of `B` is first packed into an interleaved `k ×
-/// NR_T` buffer (`packed[kk * NR_T + lane] = b[(j0 + lane) * k + kk]`), which
-/// turns the naive kernel's strided column gathers into contiguous vector
-/// loads — the inner loop then has exactly the shape of [`mm_tile`] and
-/// vectorizes the same way. Packing only *moves* values, so every output
-/// element still accumulates `a[kk] · b[kk]` in ascending `k` through a
-/// single chain, and the result stays bit-identical to the naive reference.
-fn matmul_transpose_chunk(a: &[f64], b: &[f64], out: &mut [f64], k: usize, p: usize, tier: SimdTier) {
-    if p == 0 {
-        return;
-    }
-    let rows = out.len() / p;
-    let apack = pack_a(a, k, rows);
-    let mut packed = vec![0.0f64; k * NR_T];
-    let mut j = 0;
-    while j < p {
-        let width = (p - j).min(NR_T);
-        for (lane, b_row) in b[j * k..].chunks_exact(k.max(1)).take(width).enumerate() {
-            for (kk, &bv) in b_row.iter().enumerate() {
-                packed[kk * NR_T + lane] = bv;
-            }
-        }
-        // Lanes past `width` keep stale values; they are never stored.
-        let mut i = 0;
-        while i < rows {
-            let mr = (rows - i).min(MR);
-            let apack_block = &apack[i * k..(i + mr) * k];
-            let out_block = &mut out[i * p..(i + mr) * p];
-            match mr {
-                1 => mt_tile_tier::<1>(tier, apack_block, &packed, out_block, j, p, width),
-                2 => mt_tile_tier::<2>(tier, apack_block, &packed, out_block, j, p, width),
-                3 => mt_tile_tier::<3>(tier, apack_block, &packed, out_block, j, p, width),
-                _ => mt_tile_tier::<4>(tier, apack_block, &packed, out_block, j, p, width),
-            }
-            i += mr;
-        }
-        j += width;
     }
 }
 
@@ -635,11 +455,9 @@ mod tests {
             let mut naive = vec![0.0; m * n];
             matmul_naive(&a, &b, &mut naive, k, n);
             for &tier in SimdTier::available() {
-                for par in [Parallelism::Single, Parallelism::Threads(3)] {
-                    let mut fast = vec![0.0; m * n];
-                    matmul_with_tier(&a, &b, &mut fast, m, k, n, par, tier);
-                    assert_eq!(bits(&naive), bits(&fast), "m={m} k={k} n={n} {par:?} {tier:?}");
-                }
+                let mut fast = vec![0.0; m * n];
+                matmul_with_tier(&a, &b, &mut fast, m, k, n, tier);
+                assert_eq!(bits(&naive), bits(&fast), "m={m} k={k} n={n} {tier:?}");
             }
         }
     }
@@ -662,46 +480,10 @@ mod tests {
             let mut naive = vec![0.0; m * p];
             matmul_transpose_naive(&a, &b, &mut naive, k, p);
             for &tier in SimdTier::available() {
-                for par in [Parallelism::Single, Parallelism::Threads(3)] {
-                    let mut fast = vec![0.0; m * p];
-                    matmul_transpose_with_tier(&a, &b, &mut fast, m, k, p, par, tier);
-                    assert_eq!(bits(&naive), bits(&fast), "m={m} k={k} p={p} {par:?} {tier:?}");
-                }
+                let mut fast = vec![0.0; m * p];
+                matmul_transpose_with_tier(&a, &b, &mut fast, m, k, p, tier);
+                assert_eq!(bits(&naive), bits(&fast), "m={m} k={k} p={p} {tier:?}");
             }
-        }
-    }
-
-    #[test]
-    fn thread_counts_are_bit_identical_above_threshold() {
-        // Big enough to cross PARALLEL_FLOP_THRESHOLD so work really fans out.
-        let (m, k, n) = (96, 80, 96);
-        let a = fill(m * k, 5);
-        let b = fill(k * n, 6);
-        let mut one = vec![0.0; m * n];
-        matmul(&a, &b, &mut one, m, k, n, Parallelism::Threads(1));
-        for t in [2, 3, 4, 7] {
-            let mut many = vec![0.0; m * n];
-            matmul(&a, &b, &mut many, m, k, n, Parallelism::Threads(t));
-            assert_eq!(bits(&one), bits(&many), "threads={t}");
-        }
-    }
-
-    #[test]
-    fn parallelism_resolution() {
-        assert_eq!(Parallelism::Single.threads(), 1);
-        assert_eq!(Parallelism::Threads(0).threads(), 1);
-        assert_eq!(Parallelism::Threads(6).threads(), 6);
-        assert!(Parallelism::Auto.threads() >= 1);
-        // Auto is cached: two resolutions agree even if the env changed.
-        assert_eq!(Parallelism::Auto.threads(), Parallelism::Auto.threads());
-    }
-
-    #[test]
-    fn parallelism_serializes() {
-        use jarvis_stdkit::json::{FromJson, ToJson};
-        for p in [Parallelism::Single, Parallelism::Threads(4), Parallelism::Auto] {
-            let back = Parallelism::from_json(&p.to_json()).unwrap();
-            assert_eq!(p, back);
         }
     }
 
@@ -711,14 +493,19 @@ mod tests {
         assert_eq!(tiers.first(), Some(&SimdTier::Scalar));
         assert!(SimdTier::detect().is_available());
         assert!(tiers.windows(2).all(|w| w[0] < w[1]), "ascending preference order");
-        #[cfg(target_arch = "x86_64")]
-        assert!(SimdTier::Sse2.is_available(), "SSE2 is x86-64 baseline");
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            assert_eq!(tiers, [SimdTier::Scalar, SimdTier::Avx2], "AVX2 host");
+        }
+        if SimdTier::detect() == SimdTier::Scalar {
+            assert_eq!(tiers, [SimdTier::Scalar]);
+            assert!(!SimdTier::Avx2.is_available());
+        }
         // An unavailable tier must degrade to scalar, not hit bad kernels.
-        let probe = [SimdTier::Scalar, SimdTier::Sse2, SimdTier::Avx2, SimdTier::Avx2Fma];
-        for tier in probe {
+        for tier in [SimdTier::Scalar, SimdTier::Avx2] {
             let (a, b) = ([1.0, 2.0], [3.0, 4.0, 5.0, 6.0]);
             let mut out = vec![0.0; 2];
-            matmul_with_tier(&a, &b, &mut out, 1, 2, 2, Parallelism::Single, tier);
+            matmul_with_tier(&a, &b, &mut out, 1, 2, 2, tier);
             assert_eq!(out, vec![13.0, 16.0], "{tier:?}");
         }
     }
@@ -729,7 +516,7 @@ mod tests {
         let a = [0.0, 1.0];
         let b = [f64::INFINITY, 0.0, 0.0, 2.0];
         let mut fast = vec![0.0; 2];
-        matmul(&a, &b, &mut fast, 1, 2, 2, Parallelism::Single);
+        matmul(&a, &b, &mut fast, 1, 2, 2);
         assert!(fast[0].is_nan(), "0*inf + 1*0 must be NaN, got {}", fast[0]);
         assert_eq!(fast[1], 2.0);
         let mut naive = vec![0.0; 2];

@@ -2,7 +2,6 @@
 
 use crate::activation::Activation;
 use crate::error::NeuralError;
-use crate::gemm::Parallelism;
 use crate::matrix::Matrix;
 use crate::optimizer::{OptState, OptimizerKind};
 use jarvis_stdkit::rng::Rng;
@@ -105,16 +104,9 @@ impl Dense {
         self.weights.rows() * self.weights.cols() + self.bias.len()
     }
 
-    /// Forward pass over a batch (`batch × inputs`), on the blocked kernels
-    /// with the given worker fan-out.
-    pub(crate) fn forward(
-        &self,
-        input: &Matrix,
-        par: Parallelism,
-    ) -> Result<ForwardCache, NeuralError> {
-        let z = input
-            .matmul_transpose_with(&self.weights, par)?
-            .add_row_broadcast(&self.bias)?;
+    /// Forward pass over a batch (`batch × inputs`) on the blocked kernels.
+    pub(crate) fn forward(&self, input: &Matrix) -> Result<ForwardCache, NeuralError> {
+        let z = input.matmul_transpose(&self.weights)?.add_row_broadcast(&self.bias)?;
         let a = z.map(|v| self.activation.apply(v));
         Ok(ForwardCache { z, a })
     }
@@ -122,8 +114,8 @@ impl Dense {
     /// Inference-only forward: bit for bit the activations of
     /// [`Dense::forward`], computed in place in the GEMM's output buffer
     /// instead of through a kept pre-activation copy.
-    pub(crate) fn infer(&self, input: &Matrix, par: Parallelism) -> Result<Matrix, NeuralError> {
-        let mut out = input.matmul_transpose_with(&self.weights, par)?;
+    pub(crate) fn infer(&self, input: &Matrix) -> Result<Matrix, NeuralError> {
+        let mut out = input.matmul_transpose(&self.weights)?;
         if self.bias.len() != out.cols() {
             return Err(NeuralError::BadVectorLength {
                 what: "bias",
@@ -150,13 +142,12 @@ impl Dense {
         cache: &ForwardCache,
         dl_da: &Matrix,
         optimizer: &OptimizerKind,
-        par: Parallelism,
     ) -> Result<Matrix, NeuralError> {
         // delta = dL/da ⊙ f'(z), shape batch × units.
         let fprime = cache.z.map(|v| self.activation.derivative(v));
         let delta = dl_da.hadamard(&fprime)?;
         // dW = deltaᵀ · input, shape units × inputs.
-        let dw = delta.transpose().matmul_with(input, par)?;
+        let dw = delta.transpose().matmul(input)?;
         // db = column sums of delta.
         let db: Vec<f64> = {
             let mut sums = vec![0.0; delta.cols()];
@@ -168,10 +159,10 @@ impl Dense {
             sums
         };
         // dL/d(input) = delta · W, shape batch × inputs.
-        let dl_dinput = delta.matmul_with(&self.weights, par)?;
+        let dl_dinput = delta.matmul(&self.weights)?;
 
-        optimizer.update_with(self.weights.as_mut_slice(), dw.as_slice(), &mut self.w_state, par);
-        optimizer.update_with(&mut self.bias, &db, &mut self.b_state, par);
+        optimizer.update(self.weights.as_mut_slice(), dw.as_slice(), &mut self.w_state);
+        optimizer.update(&mut self.bias, &db, &mut self.b_state);
         Ok(dl_dinput)
     }
 }
@@ -218,7 +209,7 @@ mod tests {
     fn forward_shapes_and_linear_identity() {
         let d = layer(3, 2, Activation::Linear);
         let x = Matrix::from_rows(&[&[1.0, 0.0, -1.0], &[0.5, 0.5, 0.5]]).unwrap();
-        let cache = d.forward(&x, Parallelism::Single).unwrap();
+        let cache = d.forward(&x).unwrap();
         assert_eq!(cache.z.shape(), (2, 2));
         // Linear activation: a == z.
         assert_eq!(cache.z, cache.a);
@@ -233,10 +224,10 @@ mod tests {
         let y = Matrix::from_rows(&[&[2.0], &[4.0], &[-2.0]]).unwrap();
         let mut last = f64::INFINITY;
         for _ in 0..200 {
-            let cache = d.forward(&x, Parallelism::Single).unwrap();
+            let cache = d.forward(&x).unwrap();
             let loss = crate::loss::Loss::Mse.value(&cache.a, &y).unwrap();
             let grad = crate::loss::Loss::Mse.gradient(&cache.a, &y).unwrap();
-            d.backward(&x, &cache, &grad, &opt, Parallelism::Single).unwrap();
+            d.backward(&x, &cache, &grad, &opt).unwrap();
             last = loss;
         }
         assert!(last < 1e-4, "loss did not converge: {last}");
@@ -247,9 +238,9 @@ mod tests {
         let mut d = layer(4, 2, Activation::Tanh);
         let opt = OptimizerKind::sgd(0.0); // no update, just shape check
         let x = Matrix::from_rows(&[&[0.1, 0.2, 0.3, 0.4]]).unwrap();
-        let cache = d.forward(&x, Parallelism::Single).unwrap();
+        let cache = d.forward(&x).unwrap();
         let dl_da = Matrix::from_rows(&[&[1.0, -1.0]]).unwrap();
-        let g = d.backward(&x, &cache, &dl_da, &opt, Parallelism::Single).unwrap();
+        let g = d.backward(&x, &cache, &dl_da, &opt).unwrap();
         assert_eq!(g.shape(), (1, 4));
     }
 }

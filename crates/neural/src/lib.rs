@@ -62,7 +62,7 @@ mod simd;
 
 pub use activation::Activation;
 pub use error::NeuralError;
-pub use gemm::{Parallelism, SimdTier};
+pub use gemm::SimdTier;
 pub use layer::Dense;
 pub use loss::Loss;
 pub use matrix::Matrix;

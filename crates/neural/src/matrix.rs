@@ -2,7 +2,7 @@
 //! batch-processing feed-forward networks.
 
 use crate::error::NeuralError;
-use crate::gemm::{self, Parallelism};
+use crate::gemm;
 use std::fmt;
 use jarvis_stdkit::{json_struct};
 
@@ -163,28 +163,14 @@ impl Matrix {
         (0..self.rows).map(|r| self.row(r).to_vec()).collect()
     }
 
-    /// Matrix product `self · rhs` on the blocked single-threaded kernel.
-    ///
-    /// Equivalent to [`Matrix::matmul_with`] at [`Parallelism::Single`];
-    /// bit-identical to [`Matrix::matmul_naive`] for every input.
+    /// Matrix product `self · rhs` on the blocked kernel; bit-identical to
+    /// [`Matrix::matmul_naive`] for every input.
     ///
     /// # Errors
     ///
     /// Returns [`NeuralError::DimensionMismatch`] unless
     /// `self.cols == rhs.rows`.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix, NeuralError> {
-        self.matmul_with(rhs, Parallelism::Single)
-    }
-
-    /// Matrix product `self · rhs` on the blocked kernel with the given
-    /// worker fan-out. Results are bit-identical at every thread count (see
-    /// the [`gemm`](crate::gemm) module docs for the determinism argument).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NeuralError::DimensionMismatch`] unless
-    /// `self.cols == rhs.rows`.
-    pub fn matmul_with(&self, rhs: &Matrix, par: Parallelism) -> Result<Matrix, NeuralError> {
         if self.cols != rhs.rows {
             return Err(NeuralError::DimensionMismatch {
                 op: "matmul",
@@ -193,7 +179,7 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        gemm::matmul(&self.data, &rhs.data, &mut out.data, self.rows, self.cols, rhs.cols, par);
+        gemm::matmul(&self.data, &rhs.data, &mut out.data, self.rows, self.cols, rhs.cols);
         Ok(out)
     }
 
@@ -219,28 +205,13 @@ impl Matrix {
     }
 
     /// Matrix product `self · rhsᵀ` without materializing the transpose, on
-    /// the blocked single-threaded kernel.
+    /// the blocked kernel.
     ///
     /// # Errors
     ///
     /// Returns [`NeuralError::DimensionMismatch`] unless
     /// `self.cols == rhs.cols`.
     pub fn matmul_transpose(&self, rhs: &Matrix) -> Result<Matrix, NeuralError> {
-        self.matmul_transpose_with(rhs, Parallelism::Single)
-    }
-
-    /// Matrix product `self · rhsᵀ` on the blocked kernel with the given
-    /// worker fan-out; bit-identical at every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NeuralError::DimensionMismatch`] unless
-    /// `self.cols == rhs.cols`.
-    pub fn matmul_transpose_with(
-        &self,
-        rhs: &Matrix,
-        par: Parallelism,
-    ) -> Result<Matrix, NeuralError> {
         if self.cols != rhs.cols {
             return Err(NeuralError::DimensionMismatch {
                 op: "matmul_transpose",
@@ -249,15 +220,7 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.rows, rhs.rows);
-        gemm::matmul_transpose(
-            &self.data,
-            &rhs.data,
-            &mut out.data,
-            self.rows,
-            self.cols,
-            rhs.rows,
-            par,
-        );
+        gemm::matmul_transpose(&self.data, &rhs.data, &mut out.data, self.rows, self.cols, rhs.rows);
         Ok(out)
     }
 

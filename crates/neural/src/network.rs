@@ -3,7 +3,6 @@
 
 use crate::activation::Activation;
 use crate::error::NeuralError;
-use crate::gemm::Parallelism;
 use crate::layer::{Dense, ForwardCache};
 use crate::loss::Loss;
 use crate::matrix::Matrix;
@@ -22,10 +21,9 @@ pub struct Network {
     loss: Loss,
     optimizer: OptimizerKind,
     input_size: usize,
-    parallelism: Parallelism,
 }
 
-json_struct!(Network { layers, loss, optimizer, input_size, parallelism });
+json_struct!(Network { layers, loss, optimizer, input_size });
 
 impl Network {
     /// Start building a network taking `input_size` features.
@@ -37,7 +35,6 @@ impl Network {
             loss: Loss::Mse,
             optimizer: OptimizerKind::adam(0.001),
             seed: 0,
-            parallelism: Parallelism::Single,
         }
     }
 
@@ -76,19 +73,6 @@ impl Network {
     #[must_use]
     pub fn layers(&self) -> &[Dense] {
         &self.layers
-    }
-
-    /// The configured kernel worker fan-out.
-    #[must_use]
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
-    /// Change the kernel worker fan-out. Training and inference results are
-    /// bit-identical at every setting (see [`gemm`](crate::gemm)); this only
-    /// trades wall-clock time.
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.parallelism = parallelism;
     }
 
     /// Run the network on one input vector.
@@ -151,9 +135,9 @@ impl Network {
     pub fn predict_batch(&self, input: &Matrix) -> Result<Matrix, NeuralError> {
         let mut layers = self.layers.iter();
         let Some(first) = layers.next() else { return Ok(input.clone()) };
-        let mut a = first.infer(input, self.parallelism)?;
+        let mut a = first.infer(input)?;
         for layer in layers {
-            a = layer.infer(&a, self.parallelism)?;
+            a = layer.infer(&a)?;
         }
         Ok(a)
     }
@@ -289,7 +273,7 @@ impl Network {
         let mut caches: Vec<ForwardCache> = Vec::with_capacity(self.layers.len());
         for layer in &self.layers {
             let input = caches.last().map_or(x, |c| &c.a);
-            let cache = layer.forward(input, self.parallelism)?;
+            let cache = layer.forward(input)?;
             caches.push(cache);
         }
         let prediction = &caches.last().expect("non-empty").a;
@@ -302,7 +286,7 @@ impl Network {
         }
         for (i, layer) in self.layers.iter_mut().enumerate().rev() {
             let input = if i == 0 { x } else { &caches[i - 1].a };
-            grad = layer.backward(input, &caches[i], &grad, &self.optimizer, self.parallelism)?;
+            grad = layer.backward(input, &caches[i], &grad, &self.optimizer)?;
         }
         Ok(loss_value)
     }
@@ -372,7 +356,6 @@ pub struct NetworkBuilder {
     loss: Loss,
     optimizer: OptimizerKind,
     seed: u64,
-    parallelism: Parallelism,
 }
 
 impl NetworkBuilder {
@@ -404,14 +387,6 @@ impl NetworkBuilder {
         self
     }
 
-    /// Set the kernel worker fan-out (default [`Parallelism::Single`]).
-    /// Results are bit-identical at every setting.
-    #[must_use]
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
     /// Build the network.
     ///
     /// # Errors
@@ -437,7 +412,6 @@ impl NetworkBuilder {
             loss: self.loss,
             optimizer: self.optimizer,
             input_size: self.input_size,
-            parallelism: self.parallelism,
         })
     }
 }

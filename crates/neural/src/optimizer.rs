@@ -4,13 +4,7 @@
 //! at a learning rate of 0.001 (Section V-A-6) — i.e. Adam at its canonical
 //! configuration, which [`OptimizerKind::adam`] reproduces.
 
-
-use crate::gemm::Parallelism;
 use jarvis_stdkit::{json_enum, json_struct};
-
-/// Below this many parameters, a chunked parallel update costs more in
-/// thread fan-out than it saves; stay sequential.
-const PARALLEL_PARAM_THRESHOLD: usize = 1 << 15;
 
 /// Optimizer configuration, shared by all parameter tensors of a network.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,62 +64,30 @@ impl OptimizerKind {
         OptState { m: vec![0.0; len], v: vec![0.0; len], t: 0 }
     }
 
-    /// Apply one update step, fanning element chunks across `par.threads()`
-    /// workers for large tensors. The update is element-wise (each parameter
-    /// touches only its own moment entries), so any chunking produces
-    /// bit-identical results.
+    /// Apply one element-wise update step: each parameter touches only its
+    /// own moment entries.
     ///
     /// # Panics
     ///
     /// Panics when `params`, `grads`, and the state disagree on length —
     /// an internal invariant maintained by [`Network`](crate::Network).
-    pub(crate) fn update_with(
-        &self,
-        params: &mut [f64],
-        grads: &[f64],
-        state: &mut OptState,
-        par: Parallelism,
-    ) {
+    pub(crate) fn update(&self, params: &mut [f64], grads: &[f64], state: &mut OptState) {
         assert_eq!(params.len(), grads.len(), "params/grads length mismatch");
         assert_eq!(params.len(), state.m.len(), "params/state length mismatch");
-        // The step counter advances once per tensor update regardless of
-        // how the elements are chunked.
-        if let OptimizerKind::Adam { .. } = self {
-            state.t += 1;
-        }
-        let threads = par.threads().min(params.len().max(1));
-        if threads <= 1 || params.len() < PARALLEL_PARAM_THRESHOLD {
-            self.update_chunk(params, grads, &mut state.m, &mut state.v, state.t);
-            return;
-        }
-        let chunk = params.len().div_ceil(threads);
-        let t = state.t;
-        std::thread::scope(|scope| {
-            for (((p, g), m), v) in params
-                .chunks_mut(chunk)
-                .zip(grads.chunks(chunk))
-                .zip(state.m.chunks_mut(chunk))
-                .zip(state.v.chunks_mut(chunk))
-            {
-                scope.spawn(move || self.update_chunk(p, g, m, v, t));
-            }
-        });
-    }
-
-    /// The element-wise update body shared by the sequential and chunked
-    /// parallel paths. `t` is the (already advanced) Adam step count.
-    fn update_chunk(&self, params: &mut [f64], grads: &[f64], ms: &mut [f64], vs: &mut [f64], t: u64) {
         match *self {
             OptimizerKind::Sgd { lr, momentum } => {
-                for ((p, &g), mo) in params.iter_mut().zip(grads).zip(ms) {
+                for ((p, &g), mo) in params.iter_mut().zip(grads).zip(&mut state.m) {
                     *mo = momentum * *mo + g;
                     *p -= lr * *mo;
                 }
             }
             OptimizerKind::Adam { lr, beta1, beta2, eps } => {
-                let bc1 = 1.0 - beta1.powi(t as i32);
-                let bc2 = 1.0 - beta2.powi(t as i32);
-                for (((p, &g), m), v) in params.iter_mut().zip(grads).zip(ms).zip(vs) {
+                state.t += 1;
+                let bc1 = 1.0 - beta1.powi(state.t as i32);
+                let bc2 = 1.0 - beta2.powi(state.t as i32);
+                for (((p, &g), m), v) in
+                    params.iter_mut().zip(grads).zip(&mut state.m).zip(&mut state.v)
+                {
                     *m = beta1 * *m + (1.0 - beta1) * g;
                     *v = beta2 * *v + (1.0 - beta2) * g * g;
                     let m_hat = *m / bc1;
@@ -156,7 +118,7 @@ mod tests {
         let opt = OptimizerKind::sgd(0.1);
         let mut p = vec![1.0, -1.0];
         let mut st = opt.new_state(2);
-        opt.update_with(&mut p, &[0.5, -0.5], &mut st, Parallelism::Single);
+        opt.update(&mut p, &[0.5, -0.5], &mut st);
         assert!((p[0] - 0.95).abs() < 1e-12);
         assert!((p[1] + 0.95).abs() < 1e-12);
     }
@@ -166,8 +128,8 @@ mod tests {
         let opt = OptimizerKind::sgd_momentum(0.1, 0.9);
         let mut p = vec![0.0];
         let mut st = opt.new_state(1);
-        opt.update_with(&mut p, &[1.0], &mut st, Parallelism::Single); // v=1, p=-0.1
-        opt.update_with(&mut p, &[1.0], &mut st, Parallelism::Single); // v=1.9, p=-0.29
+        opt.update(&mut p, &[1.0], &mut st); // v=1, p=-0.1
+        opt.update(&mut p, &[1.0], &mut st); // v=1.9, p=-0.29
         assert!((p[0] + 0.29).abs() < 1e-12);
     }
 
@@ -179,7 +141,7 @@ mod tests {
         let mut st = opt.new_state(1);
         for _ in 0..600 {
             let g = 2.0 * (x[0] - 3.0);
-            opt.update_with(&mut x, &[g], &mut st, Parallelism::Single);
+            opt.update(&mut x, &[g], &mut st);
         }
         assert!((x[0] - 3.0).abs() < 1e-2, "x = {}", x[0]);
     }
@@ -192,7 +154,7 @@ mod tests {
         for g in [1e-4, 1.0, 1e4] {
             let mut p = vec![0.0];
             let mut st = opt.new_state(1);
-            opt.update_with(&mut p, &[g], &mut st, Parallelism::Single);
+            opt.update(&mut p, &[g], &mut st);
             assert!((p[0].abs() - 0.001).abs() < 1e-6, "g={g} step={}", p[0]);
         }
     }
@@ -204,34 +166,11 @@ mod tests {
     }
 
     #[test]
-    fn chunked_parallel_update_is_bit_identical() {
-        // Above PARALLEL_PARAM_THRESHOLD so worker threads actually spawn.
-        let n = PARALLEL_PARAM_THRESHOLD + 7;
-        for opt in [OptimizerKind::adam(0.01), OptimizerKind::sgd_momentum(0.1, 0.9)] {
-            let grads: Vec<f64> = (0..n).map(|i| ((i % 101) as f64 - 50.0) / 50.0).collect();
-            let run = |par: Parallelism| {
-                let mut p: Vec<f64> = (0..n).map(|i| (i % 13) as f64 / 13.0).collect();
-                let mut st = opt.new_state(n);
-                for _ in 0..3 {
-                    opt.update_with(&mut p, &grads, &mut st, par);
-                }
-                p
-            };
-            let seq = run(Parallelism::Single);
-            let par = run(Parallelism::Threads(4));
-            assert!(
-                seq.iter().zip(&par).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "{opt:?} chunked update drifted"
-            );
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_lengths_panic() {
         let opt = OptimizerKind::sgd(0.1);
         let mut p = vec![0.0];
         let mut st = opt.new_state(1);
-        opt.update_with(&mut p, &[1.0, 2.0], &mut st, Parallelism::Single);
+        opt.update(&mut p, &[1.0, 2.0], &mut st);
     }
 }

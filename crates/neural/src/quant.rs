@@ -20,10 +20,10 @@
 //! # Determinism
 //!
 //! Integer addition is associative and exact, so the i32 accumulator is
-//! bit-identical across SIMD tiers, summation orders, thread counts, and
-//! pool sizes — *trivially*, unlike the f64 kernels which must fix their
-//! reduction order. The dequantization arithmetic is a fixed per-element
-//! f64 expression. `tests/determinism.rs` sweeps seeds and thread settings
+//! bit-identical across SIMD tiers and summation orders — *trivially*,
+//! unlike the f64 kernels which must fix their reduction order. The
+//! dequantization arithmetic is a fixed per-element f64 expression.
+//! `tests/determinism.rs` sweeps seeds, shard counts and execution modes
 //! over this path.
 //!
 //! Non-finite activations quantize deterministically too: `NaN` saturates
@@ -41,7 +41,7 @@
 //! the gate recorded in `BENCH_neural.json`.
 
 use crate::error::NeuralError;
-use crate::gemm::{Parallelism, SimdTier};
+use crate::gemm::SimdTier;
 use crate::matrix::Matrix;
 use crate::network::Network;
 use crate::activation::Activation;
@@ -59,11 +59,10 @@ pub fn quantize_value(v: f64, scale: f64) -> i8 {
     (v * scale.recip()).round_ties_even().clamp(-127.0, 127.0) as i8
 }
 
-/// Exact int8 dot product at the given [`SimdTier`]. The scalar and SSE2
-/// tiers share the widening scalar kernel (there is no profitable 128-bit
-/// int8 path for these widths); AVX2 tiers use the `pmaddwd` kernel.
-/// Integer sums are order-independent, so every tier returns the **same**
-/// i32 — asserted by the conformance battery.
+/// Exact int8 dot product at the given [`SimdTier`]: the widening scalar
+/// kernel, or the `pmaddwd` kernel at `Avx2`. Integer sums are
+/// order-independent, so both tiers return the **same** i32 — asserted by
+/// the conformance battery.
 ///
 /// # Panics
 ///
@@ -74,7 +73,7 @@ pub fn dot_i8(x: &[i8], w: &[i8], tier: SimdTier) -> i32 {
     match tier {
         #[cfg(target_arch = "x86_64")]
         #[allow(unsafe_code)]
-        SimdTier::Avx2 | SimdTier::Avx2Fma if tier.is_available() => {
+        SimdTier::Avx2 if tier.is_available() => {
             // SAFETY: guarded by the runtime availability check above.
             unsafe { crate::simd::dot_i8_avx2(x, w) }
         }
@@ -104,7 +103,7 @@ fn matmul_q8(x: &[i8], w: &[i16], out: &mut [i32], k: usize, units: usize, tier:
     match tier {
         #[cfg(target_arch = "x86_64")]
         #[allow(unsafe_code)]
-        SimdTier::Avx2 | SimdTier::Avx2Fma if tier.is_available() => {
+        SimdTier::Avx2 if tier.is_available() => {
             // SAFETY: guarded by the runtime availability check above.
             unsafe { crate::simd::gemm_q8_avx2(x, w, out, k, units) }
         }
@@ -207,7 +206,7 @@ impl QuantizedNetwork {
                 bias: layer.bias().to_vec(),
                 activation: layer.activation(),
             });
-            acts = layer.forward(&acts, Parallelism::Single)?.a;
+            acts = layer.forward(&acts)?.a;
         }
         Ok(QuantizedNetwork { layers, input_size: net.input_size() })
     }
@@ -376,7 +375,7 @@ fn requant_batch(
     match (activation, tier) {
         #[cfg(target_arch = "x86_64")]
         #[allow(unsafe_code)]
-        (Activation::Relu, SimdTier::Avx2 | SimdTier::Avx2Fma) if tier.is_available() => {
+        (Activation::Relu, SimdTier::Avx2) if tier.is_available() => {
             // SAFETY: guarded by the runtime availability check above.
             unsafe { crate::simd::requant_relu_avx2(accs, bias, dequant, inv_next, &mut out) }
         }

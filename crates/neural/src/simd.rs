@@ -12,11 +12,9 @@
 //! Two rules keep that equivalence intact:
 //!
 //! * **No fused multiply-add.** `fmadd` rounds once where `mul`+`add`
-//!   rounds twice, which changes low bits. The `Avx2Fma` tier *detects*
-//!   FMA and compiles under `target_feature(enable = "fma")` (so future
-//!   exactly-compensated kernels can slot in), but its f64 arithmetic is
-//!   the same unfused `_mm256_mul_pd` + `_mm256_add_pd` pair — rustc
-//!   never contracts intrinsic float math on its own.
+//!   rounds twice, which changes low bits, so the f64 tiles use the
+//!   unfused `_mm256_mul_pd` + `_mm256_add_pd` pair — rustc never
+//!   contracts intrinsic float math on its own.
 //! * **No horizontal reduction of f64 lanes.** Lanes are written back to
 //!   distinct output elements; nothing is ever summed across lanes.
 //!
@@ -36,7 +34,7 @@
 //! associative, so any summation order — including `pmaddwd` pairwise
 //! adds and a final horizontal fold — produces the *exact* same i32. The
 //! quantized kernels are therefore trivially bit-deterministic across
-//! tiers, threads, and pool sizes.
+//! tiers.
 //!
 //! [`SimdTier`]: crate::gemm::SimdTier
 
@@ -50,69 +48,22 @@ use core::arch::x86_64::*;
 
 use crate::gemm::{NR, NR_T};
 
-/// `MRC × NR` SSE2 tile of `A·B` at column `j` — the vector twin of
-/// `gemm::mm_tile`: four 2-lane accumulators per row, ascending `k`.
-/// SSE2 is baseline on x86-64, so no runtime detection is needed.
+/// `MRC × NR` AVX2 tile of `A·B` at column `j` — the vector twin of
+/// `gemm::mm_tile`: two 4-lane accumulators per row, ascending `k`.
+/// # Safety: caller must have verified `avx2` via tier detection, and
+/// `apack_block` is `MRC * k` long, `b` is `k * n`, `j + NR <= n`, and
+/// `out_block` holds `MRC` rows of `n`.
 #[cfg(target_arch = "x86_64")]
-pub(crate) fn mm_tile_sse2<const MRC: usize>(
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn mm_tile_avx2<const MRC: usize>(
     apack_block: &[f64],
     b: &[f64],
     out_block: &mut [f64],
     j: usize,
     n: usize,
 ) {
-    // SAFETY: callers uphold the `mm_tile` contract — `apack_block` is
-    // `MRC * k` long, `b` is `k * n`, `j + NR <= n`, and `out_block`
-    // holds `MRC` rows of `n`. All pointer walks below stay inside those
-    // bounds; SSE2 is unconditionally available on x86-64.
-    unsafe {
-        let k = apack_block.len() / MRC;
-        let mut acc = [[_mm_setzero_pd(); NR / 2]; MRC];
-        let mut ap = apack_block.as_ptr();
-        let mut bp = b.as_ptr().add(j);
-        for _ in 0..k {
-            let bv = [
-                _mm_loadu_pd(bp),
-                _mm_loadu_pd(bp.add(2)),
-                _mm_loadu_pd(bp.add(4)),
-                _mm_loadu_pd(bp.add(6)),
-            ];
-            for r in 0..MRC {
-                let av = _mm_set1_pd(*ap.add(r));
-                for v in 0..NR / 2 {
-                    acc[r][v] = _mm_add_pd(_mm_mul_pd(av, bv[v]), acc[r][v]);
-                }
-            }
-            ap = ap.add(MRC);
-            bp = bp.add(n);
-        }
-        let op = out_block.as_mut_ptr();
-        for r in 0..MRC {
-            for v in 0..NR / 2 {
-                _mm_storeu_pd(op.add(r * n + j + 2 * v), acc[r][v]);
-            }
-        }
-    }
-}
-
-/// Shared AVX2 body for `mm_tile`: two 4-lane accumulators per row.
-/// `#[inline(always)]` so the `target_feature` wrappers compile it with
-/// their feature set enabled.
-/// # Safety: same slice-shape contract as `mm_tile_sse2` (`apack_block` is
-/// `MRC`-strided, `out_block` rows reach `j + NR <= n`), and the CPU must
-/// support AVX2 — callers reach this only through sanitized tier dispatch.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn mm_tile_avx_body<const MRC: usize>(
-    apack_block: &[f64],
-    b: &[f64],
-    out_block: &mut [f64],
-    j: usize,
-    n: usize,
-) {
-    // SAFETY: same shape contract as `mm_tile_sse2`; callers additionally
-    // guarantee AVX2 is available (the wrappers are `target_feature` fns
-    // reached only through sanitized tier dispatch).
+    // SAFETY: every pointer walk below stays inside the slice shapes of
+    // the contract above; AVX2 availability is the caller's contract.
     unsafe {
         let k = apack_block.len() / MRC;
         let mut acc = [[_mm256_setzero_pd(); NR / 4]; MRC];
@@ -138,43 +89,15 @@ unsafe fn mm_tile_avx_body<const MRC: usize>(
     }
 }
 
-/// AVX2 `mm_tile`. Caller must have verified `avx2` via tier detection.
-/// # Safety: caller must have verified `avx2` via tier detection; slice
-/// shapes forward `mm_tile_avx_body`'s contract unchanged.
+/// `MRC × NR_T` AVX2 tile of `A·Bᵀ` against packed panels — the vector
+/// twin of `gemm::mt_tile`. Only the first `width` lanes are stored.
+/// # Safety: caller must have verified `avx2` via tier detection, and
+/// `apack_block` is `MRC * k` long, `packed` is `k * NR_T`,
+/// `width <= NR_T`, `j + width <= p`, and `out_block` holds `MRC` rows of
+/// `p`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn mm_tile_avx2<const MRC: usize>(
-    apack_block: &[f64],
-    b: &[f64],
-    out_block: &mut [f64],
-    j: usize,
-    n: usize,
-) {
-    // SAFETY: forwarded contract; see `mm_tile_avx_body`.
-    unsafe { mm_tile_avx_body::<MRC>(apack_block, b, out_block, j, n) }
-}
-
-/// AVX2+FMA `mm_tile`: identical unfused arithmetic (see module docs),
-/// compiled with the `fma` feature enabled for instruction selection.
-/// # Safety: caller must have verified `avx2`+`fma` via tier detection;
-/// slice shapes forward `mm_tile_avx_body`'s contract unchanged.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-pub(crate) unsafe fn mm_tile_avx2fma<const MRC: usize>(
-    apack_block: &[f64],
-    b: &[f64],
-    out_block: &mut [f64],
-    j: usize,
-    n: usize,
-) {
-    // SAFETY: forwarded contract; see `mm_tile_avx_body`.
-    unsafe { mm_tile_avx_body::<MRC>(apack_block, b, out_block, j, n) }
-}
-
-/// `MRC × NR_T` SSE2 tile of `A·Bᵀ` against packed panels — the vector
-/// twin of `gemm::mt_tile`. Only the first `width` lanes are stored.
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn mt_tile_sse2<const MRC: usize>(
+pub(crate) unsafe fn mt_tile_avx2<const MRC: usize>(
     apack_block: &[f64],
     packed: &[f64],
     out_block: &mut [f64],
@@ -182,55 +105,8 @@ pub(crate) fn mt_tile_sse2<const MRC: usize>(
     p: usize,
     width: usize,
 ) {
-    // SAFETY: callers uphold the `mt_tile` contract — `apack_block` is
-    // `MRC * k` long, `packed` is `k * NR_T`, `width <= NR_T`,
-    // `j + width <= p`, and `out_block` holds `MRC` rows of `p`.
-    unsafe {
-        let k = apack_block.len() / MRC;
-        let mut acc = [[_mm_setzero_pd(); NR_T / 2]; MRC];
-        let mut ap = apack_block.as_ptr();
-        let mut pp = packed.as_ptr();
-        for _ in 0..k {
-            let bv = [
-                _mm_loadu_pd(pp),
-                _mm_loadu_pd(pp.add(2)),
-                _mm_loadu_pd(pp.add(4)),
-                _mm_loadu_pd(pp.add(6)),
-            ];
-            for r in 0..MRC {
-                let av = _mm_set1_pd(*ap.add(r));
-                for v in 0..NR_T / 2 {
-                    acc[r][v] = _mm_add_pd(_mm_mul_pd(av, bv[v]), acc[r][v]);
-                }
-            }
-            ap = ap.add(MRC);
-            pp = pp.add(NR_T);
-        }
-        for r in 0..MRC {
-            let mut lanes = [0.0f64; NR_T];
-            for v in 0..NR_T / 2 {
-                _mm_storeu_pd(lanes.as_mut_ptr().add(2 * v), acc[r][v]);
-            }
-            out_block[r * p + j..r * p + j + width].copy_from_slice(&lanes[..width]);
-        }
-    }
-}
-
-/// Shared AVX2 body for `mt_tile`; see `mm_tile_avx_body` for the
-/// inlining scheme and `mt_tile_sse2` for the shape contract.
-/// # Safety: same slice-shape contract as `mt_tile_sse2`, and the CPU must
-/// support AVX2 — callers reach this only through sanitized tier dispatch.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn mt_tile_avx_body<const MRC: usize>(
-    apack_block: &[f64],
-    packed: &[f64],
-    out_block: &mut [f64],
-    j: usize,
-    p: usize,
-    width: usize,
-) {
-    // SAFETY: forwarded `mt_tile` contract; AVX2 guaranteed by wrappers.
+    // SAFETY: every pointer walk below stays inside the slice shapes of
+    // the contract above; AVX2 availability is the caller's contract.
     unsafe {
         let k = apack_block.len() / MRC;
         let mut acc = [[_mm256_setzero_pd(); NR_T / 4]; MRC];
@@ -255,41 +131,6 @@ unsafe fn mt_tile_avx_body<const MRC: usize>(
             out_block[r * p + j..r * p + j + width].copy_from_slice(&lanes[..width]);
         }
     }
-}
-
-/// AVX2 `mt_tile`. Caller must have verified `avx2` via tier detection.
-/// # Safety: caller must have verified `avx2` via tier detection; slice
-/// shapes forward `mt_tile_avx_body`'s contract unchanged.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn mt_tile_avx2<const MRC: usize>(
-    apack_block: &[f64],
-    packed: &[f64],
-    out_block: &mut [f64],
-    j: usize,
-    p: usize,
-    width: usize,
-) {
-    // SAFETY: forwarded contract; see `mt_tile_avx_body`.
-    unsafe { mt_tile_avx_body::<MRC>(apack_block, packed, out_block, j, p, width) }
-}
-
-/// AVX2+FMA `mt_tile`: identical unfused arithmetic, `fma` enabled for
-/// instruction selection only (module docs).
-/// # Safety: caller must have verified `avx2`+`fma` via tier detection;
-/// slice shapes forward `mt_tile_avx_body`'s contract unchanged.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-pub(crate) unsafe fn mt_tile_avx2fma<const MRC: usize>(
-    apack_block: &[f64],
-    packed: &[f64],
-    out_block: &mut [f64],
-    j: usize,
-    p: usize,
-    width: usize,
-) {
-    // SAFETY: forwarded contract; see `mt_tile_avx_body`.
-    unsafe { mt_tile_avx_body::<MRC>(apack_block, packed, out_block, j, p, width) }
 }
 
 /// Scalar int8 dot product: widen to i32, accumulate. Exact (no rounding),

@@ -9,7 +9,7 @@
 //! by perturbing that parameter through the JSON model snapshot. Tolerance
 //! is 1e-4 on the absolute-or-relative error.
 
-use jarvis_neural::{Activation, Loss, Matrix, Network, OptimizerKind, Parallelism};
+use jarvis_neural::{Activation, Loss, Matrix, Network, OptimizerKind};
 use jarvis_stdkit::json::Json;
 use jarvis_stdkit::rng::{ChaCha8Rng, Rng, SeedableRng};
 
@@ -98,7 +98,7 @@ struct Case {
 
 /// Run one gradient check: analytic (via an SGD step at lr = 1) vs central
 /// finite differences over every parameter of a 2-hidden-layer network.
-fn check_case(case: &Case, par: Parallelism, mask: Option<&Matrix>) {
+fn check_case(case: &Case, mask: Option<&Matrix>) {
     let (n_in, n_hidden, n_out, batch) = (3, 4, 2, 5);
     let net = Network::builder(n_in)
         .layer(n_hidden, case.hidden_act)
@@ -107,7 +107,6 @@ fn check_case(case: &Case, par: Parallelism, mask: Option<&Matrix>) {
         .loss(case.loss)
         .optimizer(OptimizerKind::sgd(1.0))
         .seed(case.seed)
-        .parallelism(par)
         .build()
         .expect("valid network");
 
@@ -176,7 +175,7 @@ fn hidden_activation_loss_grid() {
                 loss,
                 seed: 100 + (ai * 10 + li) as u64,
             };
-            check_case(&case, Parallelism::Single, None);
+            check_case(&case, None);
         }
     }
 }
@@ -198,7 +197,7 @@ fn head_activation_grid() {
             loss: Loss::Mse,
             seed: 300 + ai as u64,
         };
-        check_case(&case, Parallelism::Single, None);
+        check_case(&case, None);
     }
 }
 
@@ -212,7 +211,7 @@ fn huber_small_delta() {
         loss: Loss::Huber { delta: 0.25 },
         seed: 41,
     };
-    check_case(&case, Parallelism::Single, None);
+    check_case(&case, None);
 }
 
 /// The DQN's masked-head objective: only unmasked outputs carry gradient.
@@ -227,10 +226,11 @@ fn masked_training_gradients() {
         loss: Loss::Mse,
         seed: 57,
     };
-    check_case(&case, Parallelism::Single, Some(&mask));
+    check_case(&case, Some(&mask));
 }
 
-/// Gradients are identical through the parallel kernel path (threads = 4).
+/// Tanh hidden layers under MSE, seed 71. The name predates the removal of
+/// GEMM threading, when this case ran on four kernel threads.
 #[test]
 fn gradients_hold_under_parallelism() {
     let case = Case {
@@ -239,22 +239,23 @@ fn gradients_hold_under_parallelism() {
         loss: Loss::Mse,
         seed: 71,
     };
-    check_case(&case, Parallelism::Threads(4), None);
+    check_case(&case, None);
 }
 
 /// The grids above run through whatever tier [`SimdTier::detect`] picks —
-/// on x86-64 that is a SIMD tier, so the analytic-vs-numeric comparison
-/// exercises the vectorized kernels, not just scalar. This test pins that
-/// assumption (it would silently weaken if detection ever regressed to
-/// scalar) and re-runs a case under worker-pool fan-out.
+/// on an AVX2 host that is the AVX2 tier, so the analytic-vs-numeric
+/// comparison exercises the vectorized kernels, not just scalar. This test
+/// pins that assumption (it would silently weaken if detection ever
+/// regressed to scalar) and runs one more case.
 #[test]
 fn gradcheck_exercises_the_simd_path() {
     #[cfg(target_arch = "x86_64")]
-    {
+    if std::arch::is_x86_feature_detected!("avx2") {
         use jarvis_neural::SimdTier;
-        assert!(
-            SimdTier::detect() != SimdTier::Scalar,
-            "x86-64 always has at least SSE2; gradcheck must cover a SIMD tier"
+        assert_eq!(
+            SimdTier::detect(),
+            SimdTier::Avx2,
+            "this host has AVX2; gradcheck must cover the AVX2 tier"
         );
     }
     let case = Case {
@@ -263,5 +264,5 @@ fn gradcheck_exercises_the_simd_path() {
         loss: Loss::Huber { delta: 0.5 },
         seed: 83,
     };
-    check_case(&case, Parallelism::Threads(3), None);
+    check_case(&case, None);
 }

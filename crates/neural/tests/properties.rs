@@ -178,8 +178,8 @@ fn bits_equal(a: &Matrix, b: &Matrix) -> bool {
         && a.as_slice().iter().zip(b.as_slice()).all(|(&x, &y)| value_bits_equal(x, y))
 }
 
-/// The blocked/parallel `matmul` is bit-identical to the naive reference for
-/// random shapes (including empty, 1×N, N×1) at every thread count.
+/// The blocked `matmul` is bit-identical to the naive reference for random
+/// shapes (including empty, 1×N, N×1).
 #[test]
 fn blocked_matmul_matches_naive_bitwise() {
     Config::with_cases(96).run(|g| {
@@ -187,13 +187,8 @@ fn blocked_matmul_matches_naive_bitwise() {
         let a = gen_matrix(g, m, k);
         let b = gen_matrix(g, k, n);
         let reference = a.matmul_naive(&b).unwrap();
-        for par in [Parallelism::Single, Parallelism::Threads(2), Parallelism::Threads(5)] {
-            let fast = a.matmul_with(&b, par).unwrap();
-            prop_assert!(
-                bits_equal(&fast, &reference),
-                "matmul {m}x{k}x{n} diverged from naive at {par:?}"
-            );
-        }
+        let fast = a.matmul(&b).unwrap();
+        prop_assert!(bits_equal(&fast, &reference), "matmul {m}x{k}x{n} diverged from naive");
         Ok(())
     });
 }
@@ -206,21 +201,23 @@ fn blocked_matmul_transpose_matches_naive_bitwise() {
         let a = gen_matrix(g, m, k);
         let b = gen_matrix(g, p, k);
         let reference = a.matmul_transpose_naive(&b).unwrap();
-        for par in [Parallelism::Single, Parallelism::Threads(2), Parallelism::Threads(5)] {
-            let fast = a.matmul_transpose_with(&b, par).unwrap();
-            prop_assert!(
-                bits_equal(&fast, &reference),
-                "matmul_transpose {m}x{k} · {p}x{k}ᵀ diverged from naive at {par:?}"
-            );
-        }
+        let fast = a.matmul_transpose(&b).unwrap();
+        prop_assert!(
+            bits_equal(&fast, &reference),
+            "matmul_transpose {m}x{k} · {p}x{k}ᵀ diverged from naive"
+        );
         Ok(())
     });
 }
 
-/// Shapes big enough to cross `PARALLEL_FLOP_THRESHOLD` (so worker threads
-/// really spawn) stay bit-identical to the naive reference.
+/// Shapes at and past the widest layer (64–96 on every side) stay
+/// bit-identical to the naive reference at every available tier. The name
+/// predates the removal of GEMM threading, when these were the shapes that
+/// fanned out.
 #[test]
 fn parallel_kernels_match_naive_above_threshold() {
+    use jarvis_neural::gemm;
+
     Config::with_cases(4).run(|g| {
         let m = g.usize_in(64, 96);
         let k = g.usize_in(64, 96);
@@ -230,15 +227,18 @@ fn parallel_kernels_match_naive_above_threshold() {
         let bt = b.transpose();
         let mm_ref = a.matmul_naive(&b).unwrap();
         let mt_ref = a.matmul_transpose_naive(&bt).unwrap();
-        for threads in [2, 3, 4, 7] {
-            let par = Parallelism::Threads(threads);
+        for &tier in SimdTier::available() {
+            let mut out = vec![0.0; m * n];
+            gemm::matmul_with_tier(a.as_slice(), b.as_slice(), &mut out, m, k, n, tier);
             prop_assert!(
-                bits_equal(&a.matmul_with(&b, par).unwrap(), &mm_ref),
-                "matmul {m}x{k}x{n} diverged at {threads} threads"
+                slice_bits_equal(&out, mm_ref.as_slice()),
+                "matmul {m}x{k}x{n} diverged at {tier:?}"
             );
+            let mut out = vec![0.0; m * n];
+            gemm::matmul_transpose_with_tier(a.as_slice(), bt.as_slice(), &mut out, m, k, n, tier);
             prop_assert!(
-                bits_equal(&a.matmul_transpose_with(&bt, par).unwrap(), &mt_ref),
-                "matmul_transpose {m}x{k}x{n} diverged at {threads} threads"
+                slice_bits_equal(&out, mt_ref.as_slice()),
+                "matmul_transpose {m}x{k}x{n} diverged at {tier:?}"
             );
         }
         Ok(())
@@ -302,18 +302,16 @@ fn slice_bits_equal(a: &[f64], b: &[f64]) -> bool {
 }
 
 /// The kernel-conformance battery: naive == blocked == SIMD **bitwise**, at
-/// every detected [`SimdTier`] plus forced scalar, across worker-pool sizes
-/// {1, 2, 4, 8}, over random, degenerate (0×N, 1×1, non-multiple-of-tile),
-/// and non-finite (NaN, ±∞, ±0) inputs — for both `matmul` and the fused
+/// every available [`SimdTier`] (`Scalar` pinned on AVX2 hosts too), over
+/// random, degenerate (0×N, 1×1, non-multiple-of-tile), and non-finite
+/// (NaN, ±∞, ±0) inputs — for both `matmul` and the fused
 /// `matmul_transpose`. One divergent bit anywhere fails the property
-/// (modulo NaN payload; see [`value_bits_equal`]).
+/// (modulo NaN payload; see [`value_bits_equal`]). The name predates the
+/// removal of GEMM threading, when the battery also swept pool sizes.
 #[test]
 fn conformance_battery_every_tier_and_pool_size() {
     use jarvis_neural::gemm;
-    use jarvis_stdkit::pool::WorkerPool;
 
-    let pools: Vec<(usize, WorkerPool)> =
-        [1usize, 2, 4, 8].iter().map(|&w| (w, WorkerPool::with_workers(w))).collect();
     let special = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
     Config::with_cases(24).run(|g| {
         let (m, k, n) = (gen_dim(g), gen_dim(g), gen_dim(g));
@@ -335,53 +333,17 @@ fn conformance_battery_every_tier_and_pool_size() {
         gemm::matmul_transpose_naive(&a, &bt, &mut mt_ref, k, n);
 
         for &tier in SimdTier::available() {
-            for (workers, pool) in &pools {
-                for par in [Parallelism::Single, Parallelism::Threads(3)] {
-                    let mut out = vec![0.0; m * n];
-                    gemm::matmul_on(pool, &a, &b, &mut out, m, k, n, par, tier);
-                    prop_assert!(
-                        slice_bits_equal(&out, &mm_ref),
-                        "matmul {m}x{k}x{n} diverged at {tier:?}, {workers} workers, {par:?}"
-                    );
-                    let mut out = vec![0.0; m * n];
-                    gemm::matmul_transpose_on(pool, &a, &bt, &mut out, m, k, n, par, tier);
-                    prop_assert!(
-                        slice_bits_equal(&out, &mt_ref),
-                        "matmul_transpose {m}x{k}·{n}x{k}ᵀ diverged at {tier:?}, \
-                         {workers} workers, {par:?}"
-                    );
-                }
-            }
+            let mut out = vec![0.0; m * n];
+            gemm::matmul_with_tier(&a, &b, &mut out, m, k, n, tier);
+            prop_assert!(slice_bits_equal(&out, &mm_ref), "matmul {m}x{k}x{n} diverged at {tier:?}");
+            let mut out = vec![0.0; m * n];
+            gemm::matmul_transpose_with_tier(&a, &bt, &mut out, m, k, n, tier);
+            prop_assert!(
+                slice_bits_equal(&out, &mt_ref),
+                "matmul_transpose {m}x{k}·{n}x{k}ᵀ diverged at {tier:?}"
+            );
         }
         Ok(())
     });
 }
 
-/// Above the parallel threshold the pool actually fans out — the battery
-/// must still be bitwise across tiers and pool sizes there.
-#[test]
-fn conformance_battery_above_parallel_threshold() {
-    use jarvis_neural::gemm;
-    use jarvis_stdkit::pool::WorkerPool;
-
-    Config::with_cases(2).run(|g| {
-        let (m, k, n) = (g.usize_in(64, 80), g.usize_in(64, 80), g.usize_in(64, 80));
-        let a: Vec<f64> = (0..m * k).map(|_| g.f64_in(-2.0, 2.0)).collect();
-        let b: Vec<f64> = (0..k * n).map(|_| g.f64_in(-2.0, 2.0)).collect();
-        let mut mm_ref = vec![0.0; m * n];
-        gemm::matmul_naive(&a, &b, &mut mm_ref, k, n);
-        for &tier in SimdTier::available() {
-            for workers in [1usize, 4, 8] {
-                let pool = WorkerPool::with_workers(workers);
-                let mut out = vec![0.0; m * n];
-                gemm::matmul_on(&pool, &a, &b, &mut out, m, k, n, Parallelism::Threads(4), tier);
-                prop_assert!(
-                    slice_bits_equal(&out, &mm_ref),
-                    "threshold-crossing matmul {m}x{k}x{n} diverged at {tier:?}, \
-                     {workers} workers"
-                );
-            }
-        }
-        Ok(())
-    });
-}

@@ -3,7 +3,7 @@
 //! determinism across SIMD tiers and batch groupings.
 
 use jarvis_neural::quant::{self, QuantizedNetwork};
-use jarvis_neural::{Activation, Loss, Network, OptimizerKind, Parallelism, SimdTier};
+use jarvis_neural::{Activation, Loss, Network, OptimizerKind, SimdTier};
 use jarvis_stdkit::prop_assert;
 use jarvis_stdkit::propcheck::Config;
 use jarvis_stdkit::rng::{ChaCha8Rng, Rng, SeedableRng};
@@ -164,29 +164,3 @@ fn dot_i8_conformance_across_lengths() {
     });
 }
 
-/// Parallelism settings cannot touch quantized results (the int8 forward
-/// is single-threaded by construction, but the calibration forward runs on
-/// the f64 kernels — which are thread-invariant).
-#[test]
-fn quantization_is_parallelism_invariant() {
-    let calib = corpus(5, 32);
-    let calib_refs: Vec<&[f64]> = calib.iter().map(Vec::as_slice).collect();
-    let mut nets = Vec::new();
-    for par in [Parallelism::Single, Parallelism::Threads(4), Parallelism::Auto] {
-        let net = Network::builder(3)
-            .layer(8, Activation::Tanh)
-            .layer(2, Activation::Linear)
-            .seed(21)
-            .parallelism(par)
-            .build()
-            .unwrap();
-        nets.push(QuantizedNetwork::quantize(&net, &calib_refs).unwrap());
-    }
-    let outs: Vec<_> =
-        nets.iter().map(|q| q.forward_batch(&calib_refs).unwrap()).collect();
-    for other in &outs[1..] {
-        for (a, b) in outs[0].iter().flatten().zip(other.iter().flatten()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "parallelism changed quantized output");
-        }
-    }
-}

@@ -21,9 +21,9 @@ use crate::explore::EpsilonSchedule;
 use crate::policy;
 use crate::replay::ReplayBuffer;
 use jarvis_neural::{
-    Activation, Loss, Matrix, Network, NeuralError, OptimizerKind, Parallelism, QuantizedNetwork,
+    Activation, Loss, Matrix, Network, NeuralError, OptimizerKind, QuantizedNetwork,
 };
-use jarvis_stdkit::json_struct;
+use jarvis_stdkit::{json_enum, json_struct};
 use jarvis_stdkit::rng::SliceRandom;
 use jarvis_stdkit::rng::SeedableRng;
 use jarvis_stdkit::rng::ChaCha8Rng;
@@ -47,6 +47,19 @@ pub struct Experience {
 }
 
 json_struct!(Experience { state, action, reward, next, next_valid, done });
+
+/// A stub with one setting, kept only because `perfbench/src/common.rs`
+/// still assigns `DqnConfig::parallelism`. The GEMM kernels always run on
+/// the calling thread and nothing reads the field; it goes once that line
+/// does. Serialized as `"Single"`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Parallelism {
+    /// The calling thread.
+    #[default]
+    Single,
+}
+
+json_enum!(Parallelism { Single });
 
 /// Configuration for a [`DqnAgent`].
 #[derive(Debug, Clone, PartialEq)]
@@ -77,9 +90,7 @@ pub struct DqnConfig {
     pub double_dqn: bool,
     /// RNG seed for weights, exploration, and replay sampling.
     pub seed: u64,
-    /// Kernel worker fan-out for the DNN's forward/backward GEMMs. Training
-    /// results are bit-identical at every setting; this only trades
-    /// wall-clock time per `Replay(BSize)`.
+    /// Unread: see [`Parallelism`].
     pub parallelism: Parallelism,
 }
 
@@ -255,7 +266,6 @@ impl DqnAgent {
             .loss(Loss::Mse)
             .optimizer(OptimizerKind::adam(config.learning_rate))
             .seed(config.seed)
-            .parallelism(config.parallelism)
             .build()?;
         let target = config.target_sync_every.map(|_| net.clone());
         Ok(DqnAgent {

@@ -62,8 +62,7 @@ pub mod qtable;
 pub mod replay;
 
 pub use constraint::ConstrainedEnv;
-pub use dqn::{DqnAgent, DqnCheckpoint, DqnConfig, Experience, QuantizedPolicy};
-pub use jarvis_neural::Parallelism;
+pub use dqn::{DqnAgent, DqnCheckpoint, DqnConfig, Experience, Parallelism, QuantizedPolicy};
 pub use env::{DiscreteEnvironment, Environment, Step};
 pub use explore::EpsilonSchedule;
 pub use policy::{argmax, max_q, top_c};

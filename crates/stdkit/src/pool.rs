@@ -1,12 +1,11 @@
 //! Persistent worker pool — scoped fork/join without per-call spawning.
 //!
-//! PR 2 fanned GEMM row blocks across [`std::thread::scope`], which spawns
-//! and joins OS threads on *every* call; `BENCH_neural.json` showed that
-//! overhead making `Threads(n)` slower than single-thread exactly at the
-//! 64/128 batch sizes the serving runtime produces. This module replaces
-//! the per-call scopes with one lazily-started pool whose workers park
-//! between jobs, with work handed off through the lock-free
-//! [`StealQueue`](crate::sync::StealQueue) from the work-stealing core.
+//! [`std::thread::scope`] spawns and joins OS threads on *every* call,
+//! ≈100 µs per fork/join. This module replaces per-call scopes with one
+//! lazily-started pool whose workers park between jobs, with work handed
+//! off through the lock-free [`StealQueue`](crate::sync::StealQueue) from
+//! the work-stealing core. Its user is per-home background fine-tuning;
+//! the GEMM kernels run on the calling thread.
 //!
 //! # Handoff protocol
 //!
@@ -23,8 +22,8 @@
 //!
 //! The caller-participates rule is what makes the pool well-behaved on a
 //! single-core host (the bench baseline box): with zero background
-//! workers every task runs inline on the caller, so `Threads(n)` costs a
-//! few queue operations instead of `n` thread spawns. It also makes
+//! workers every task runs inline on the caller, so `n` tasks cost a few
+//! queue operations instead of `n` thread spawns. It also makes
 //! nested `run_scoped` calls deadlock-free: every waiter drains the ring
 //! before parking, so queued work can never be orphaned.
 //!
@@ -62,8 +61,8 @@ const TICKET_RING_CAPACITY: usize = 256;
 
 /// The process-wide thread budget: `JARVIS_THREADS` when set to a positive
 /// integer, else the host's available parallelism. **Read once** at first
-/// use and cached for the life of the process — resolving the knob per
-/// call put an environment lookup (a libc lock) on every kernel dispatch.
+/// use and cached for the life of the process, so no caller pays an
+/// environment lookup (a libc lock) per call.
 #[must_use]
 pub fn configured_threads() -> usize {
     static CONFIGURED: OnceLock<usize> = OnceLock::new();

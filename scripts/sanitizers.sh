@@ -13,7 +13,8 @@
 # shard boundaries, WAL restore/replay, threaded-vs-deterministic recovery
 # parity, quarantine and degraded serving) rides along under both tools —
 # panic recovery plus scoped threads is exactly the code TSan and Miri are
-# best at breaking. JARVIS_SIMD=scalar keeps Miri off the SIMD intrinsics.
+# best at breaking. Miri never reaches the SIMD intrinsics: under
+# cfg(miri), SimdTier::detect() is Scalar (crates/neural/src/gemm.rs).
 #
 # So does the work-stealing battery (crates/runtime/tests/stealing.rs):
 # threaded serving, supervised or not, runs on the StealQueue ingest rings
@@ -123,14 +124,11 @@ run_miri() {
     echo "==> Miri: jarvis-stdkit sync + pool tests (channel, StealQueue, WorkerPool)"
     cargo +nightly miri test --offline -p jarvis-stdkit sync pool
     echo "==> Miri: jarvis-runtime supervision battery (supervisor, WAL, chaos recovery)"
-    JARVIS_SIMD=scalar \
-        cargo +nightly miri test --offline -p jarvis-runtime --test supervision
+    cargo +nightly miri test --offline -p jarvis-runtime --test supervision
     echo "==> Miri: jarvis-runtime work-stealing battery (rings, run queues, steals)"
-    JARVIS_SIMD=scalar \
-        cargo +nightly miri test --offline -p jarvis-runtime --test stealing
+    cargo +nightly miri test --offline -p jarvis-runtime --test stealing
     echo "==> Miri: jarvis-runtime continual-learning battery (fine-tune pool, swaps)"
-    JARVIS_SIMD=scalar \
-        cargo +nightly miri test --offline -p jarvis-runtime --test online
+    cargo +nightly miri test --offline -p jarvis-runtime --test online
 }
 
 case "$mode" in

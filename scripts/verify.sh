@@ -38,12 +38,11 @@ if [ "${1:-}" = "--quick" ]; then
     cargo test -q --offline -p jarvis-neural
 
     # SIMD/quantization gates, recomputed fresh each run: quantized
-    # forward >=3x over the scalar-tier f64 forward at batches 16-64,
-    # pool-threaded GEMM no slower than 1.5x single-thread at 64/128,
+    # forward >=3x over the scalar-tier f64 forward at batches 16-64 and
     # argmax agreement >=0.95 — plus <=2x regression vs BENCH_neural.json.
-    # The two speedup/parity gates are perf targets calibrated on the AVX2
-    # baseline box; below AVX2 the bench demotes them to warnings so a
-    # correct build on weaker hardware still verifies (agreement and the
+    # The speedup gate is a perf target calibrated on the AVX2 baseline
+    # box; below AVX2 the bench demotes it to a warning so a correct build
+    # on weaker hardware still verifies (agreement and the
     # bitwise-conformance tests above remain unconditional).
     echo "==> cargo bench --bench gemm -- --quick --check BENCH_neural.json"
     cargo bench --offline -p jarvis-bench --bench gemm -- --quick --check "$PWD/BENCH_neural.json"
@@ -86,7 +85,7 @@ echo "==> cargo test --offline"
 cargo test -q --offline --workspace
 
 # GEMM kernel verification: gradient checks, bit-identity vs the naive
-# reference at every thread count, and a quick bench smoke that fails if a
+# reference at every SIMD tier, and a quick bench smoke that fails if a
 # blocked kernel regressed >2x against the recorded BENCH_neural.json.
 echo "==> gradient checks (crates/neural/tests/gradcheck.rs)"
 cargo test -q --offline -p jarvis-neural --test gradcheck
