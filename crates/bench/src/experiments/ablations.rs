@@ -7,8 +7,8 @@ use jarvis::{
     SmartReward, TabularOptimizer,
 };
 use jarvis_attacks::{build_corpus, evaluate_detection, inject_violation};
-use jarvis_iot_model::{EnvAction, TimeStep};
-use jarvis_policy::MatchMode;
+use jarvis_iot_model::TimeStep;
+use jarvis_policy::{Enforcer, MatchMode, Verdict};
 use jarvis_sim::HomeDataset;
 use jarvis_stdkit::rng::{Rng, SeedableRng};
 use jarvis_stdkit::rng::ChaCha8Rng;
@@ -54,17 +54,15 @@ pub fn ablation_modes(args: &Args) {
             &widths
         )
     );
+    let minis = jarvis.home().agent_mini_actions();
     for mode in [MatchMode::Exact, MatchMode::DeviceContext, MatchMode::Generalized] {
         let detection = evaluate_detection(&outcome.table, &injected, mode);
         // Coverage: walk a benign day, count valid actions per step.
+        let enforcer = Enforcer { table: &outcome.table, mode, manual: None, filter: None };
         let mut total_valid = 0usize;
         let mut steps = 0usize;
         for tr in episodes[2].transitions().iter().step_by(30) {
-            for mini in jarvis.home().agent_mini_actions() {
-                if outcome.table.is_safe_action(&tr.state, &EnvAction::single(mini), mode) {
-                    total_valid += 1;
-                }
-            }
+            enforcer.for_each_allowed(&tr.state, &minis, |_| total_valid += 1);
             steps += 1;
         }
         println!(
@@ -125,19 +123,19 @@ pub fn ablation_filter(args: &Args) {
         let generator = AnomalyGenerator::new(args.seed ^ 0xF00D);
         let mut rng = ChaCha8Rng::seed_from_u64(args.seed ^ 2);
         let n = if args.quick { 150 } else { 1_000 };
+        let enforcer = Enforcer {
+            table: &outcome.table,
+            mode: MatchMode::Exact,
+            manual: None,
+            filter: jarvis.filter(),
+        };
         let mut flagged = 0usize;
         let mut total = 0usize;
         for (i, inst) in generator.generate(n, 30).iter().enumerate() {
             let base = &episodes[rng.gen_range(0..episodes.len())];
             let inj = inject_anomaly(jarvis.home(), base, inst, i).expect("inject");
             let tr = &inj.episode.transitions()[inj.injected_step.0 as usize];
-            let excused = jarvis
-                .filter()
-                .map(|f| f.is_anomalous(&tr.state, &tr.action, tr.step).unwrap_or(false))
-                .unwrap_or(false);
-            let unsafe_pair =
-                !outcome.table.is_safe_action(&tr.state, &tr.action, MatchMode::Exact);
-            if unsafe_pair && !excused {
+            if enforcer.verdict(&tr.state, &tr.action, tr.step) == Verdict::Violation {
                 flagged += 1;
             }
             total += 1;

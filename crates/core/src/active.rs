@@ -17,7 +17,7 @@
 use crate::env::HomeRlEnv;
 use crate::error::JarvisError;
 use jarvis_iot_model::{DeviceId, EnvAction, EnvState};
-use jarvis_policy::{MatchMode, SafeTransitionTable};
+use jarvis_policy::{Enforcer, MatchMode, SafeTransitionTable, Verdict};
 use jarvis_rl::{DqnAgent, Environment};
 use jarvis_smart_home::SmartHome;
 use std::collections::HashSet;
@@ -71,7 +71,7 @@ pub struct ActiveReport {
     pub collected: usize,
     /// Candidates proposed to the oracle (≤ budget).
     pub proposed: usize,
-    /// Proposals the oracle approved (now in the table).
+    /// Proposals the oracle approved that entered the table.
     pub approved: usize,
 }
 
@@ -103,12 +103,16 @@ pub fn active_learning_round(
         let state = env.current_state().clone();
 
         // The safe alternative the constrained agent would take.
+        let enforcer = Enforcer { table: &*table, mode, manual: None, filter: None };
         let safe_set: Vec<usize> = all
             .iter()
             .copied()
             .filter(|&a| match env.mini_for(a) {
                 None => true,
-                Some(m) => table.is_safe_action(&state, &EnvAction::single(m), mode),
+                Some(m) => {
+                    enforcer.verdict(&state, &EnvAction::single(m), env.time())
+                        != Verdict::Violation
+                }
             })
             .collect();
         let best_safe = jarvis_rl::argmax(&q, &safe_set).unwrap_or(0);
@@ -139,8 +143,8 @@ pub fn active_learning_round(
     let mut report = ActiveReport { collected: candidates.len(), ..ActiveReport::default() };
     for c in candidates.into_iter().take(budget) {
         report.proposed += 1;
-        if oracle.approve(home, &c.state, &c.action) {
-            table.allow(home.fsm(), &c.state, &c.action);
+        if oracle.approve(home, &c.state, &c.action) && table.allow(home.fsm(), &c.state, &c.action)
+        {
             report.approved += 1;
         }
     }

@@ -17,7 +17,7 @@ use crate::analysis::DayMetrics;
 use crate::reward::{SmartReward, Snapshot};
 use crate::scenario::DayScenario;
 use jarvis_iot_model::{EnvAction, EnvState, MiniAction, TimeStep};
-use jarvis_policy::{ManualPolicy, MatchMode, SafeTransitionTable};
+use jarvis_policy::{Enforcer, ManualPolicy, MatchMode, SafeTransitionTable, Verdict};
 use jarvis_rl::{DiscreteEnvironment, Environment, Step};
 use jarvis_sim::thermal::{HvacMode, ThermalModel};
 use jarvis_smart_home::SmartHome;
@@ -157,13 +157,10 @@ impl<'a> HomeRlEnv<'a> {
         self
     }
 
-    /// The stacked safety decision for one mini-action in the current state.
-    fn is_allowed(&self, table: &SafeTransitionTable, mode: MatchMode, mini: MiniAction) -> bool {
-        let action = EnvAction::single(mini);
-        match self.manual {
-            Some(m) => m.is_safe_with(table, &self.state, &action, mode),
-            None => table.is_safe_action(&self.state, &action, mode),
-        }
+    /// The enforcement cascade over a constraint or detector table, with
+    /// the manual rules stacked on top.
+    fn enforcer(&self, (table, mode): (&'a SafeTransitionTable, MatchMode)) -> Enforcer<'a> {
+        Enforcer { table, mode, manual: self.manual, filter: None }
     }
 
     /// The current environment state.
@@ -336,14 +333,11 @@ impl<'a> Environment for HomeRlEnv<'a> {
 
     fn valid_actions(&self) -> Vec<usize> {
         let mut out = vec![0usize]; // the no-op is always available
-        for (i, &mini) in self.agent_actions.iter().enumerate() {
-            let allowed = match self.constraint {
-                None => true,
-                Some((table, mode)) => self.is_allowed(table, mode, mini),
-            };
-            if allowed {
-                out.push(i + 1);
-            }
+        match self.constraint {
+            None => out.extend(1..=self.agent_actions.len()),
+            Some(c) => self
+                .enforcer(c)
+                .for_each_allowed(&self.state, &self.agent_actions, |i| out.push(i + 1)),
         }
         out
     }
@@ -365,8 +359,8 @@ impl<'a> Environment for HomeRlEnv<'a> {
         let prev_state = self.state.clone();
 
         // Violation metering (for the unconstrained baseline).
-        if let (Some(m), Some((table, mode))) = (mini, self.detector) {
-            if !self.is_allowed(table, mode, m) {
+        if let (Some(_), Some(d)) = (mini, self.detector) {
+            if self.enforcer(d).verdict(&self.state, &agent_action, t) == Verdict::Violation {
                 self.metrics.violations += 1;
             }
         }

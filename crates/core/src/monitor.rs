@@ -1,37 +1,24 @@
 //! Runtime safety monitoring: the deployed face of the SPL.
 //!
 //! After the learning phase, Jarvis sits between the platform and the
-//! devices: every attempted action is checked against the learned
-//! safe-transition table (plus manual emergency rules) *before* it executes;
-//! transitions the ANN recognizes as benign anomalies are excused rather
-//! than alarmed (Section V-A's enforcement flow). [`RuntimeMonitor`] tracks
-//! the live environment state and classifies each incoming action.
+//! devices: every attempted action is judged *before* it executes by the
+//! Section V-A cascade — manual emergency rules, then the learned
+//! safe-transition table, then ANN excusal of benign anomalies — which
+//! [`Enforcer`] implements once. [`RuntimeMonitor`] adds the state around
+//! it: FSM validation of each action, the live environment state, the
+//! clock and the alarm log.
 
 use crate::error::JarvisError;
 use jarvis_iot_model::{EnvAction, EnvState, MiniAction, TimeStep};
-use jarvis_policy::{AnomalyFilter, ManualPolicy, MatchMode, SafeTransitionTable};
+use jarvis_policy::{AnomalyFilter, Enforcer, ManualPolicy, MatchMode, SafeTransitionTable};
+pub use jarvis_policy::Verdict;
 use jarvis_smart_home::SmartHome;
-
-/// The monitor's verdict on one attempted action.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Verdict {
-    /// Within learned/manual safe behavior: allow.
-    Safe,
-    /// Outside safe behavior but recognized as a benign anomaly: allow and
-    /// log (the ANN excusal path of Section VI-C).
-    Excused,
-    /// Outside safe behavior and not excusable: block and alarm.
-    Violation,
-}
 
 /// A live safety monitor over one home.
 #[derive(Debug)]
 pub struct RuntimeMonitor<'a> {
     home: &'a SmartHome,
-    table: &'a SafeTransitionTable,
-    manual: Option<&'a ManualPolicy>,
-    filter: Option<&'a AnomalyFilter>,
-    mode: MatchMode,
+    enforcer: Enforcer<'a>,
     state: EnvState,
     t: TimeStep,
     alarms: Vec<(TimeStep, EnvAction)>,
@@ -49,10 +36,7 @@ impl<'a> RuntimeMonitor<'a> {
     ) -> Self {
         RuntimeMonitor {
             home,
-            table,
-            manual: None,
-            filter: None,
-            mode,
+            enforcer: Enforcer { table, mode, manual: None, filter: None },
             state: initial,
             t: TimeStep(0),
             alarms: Vec::new(),
@@ -62,14 +46,14 @@ impl<'a> RuntimeMonitor<'a> {
     /// Stack manual emergency rules over the learned table.
     #[must_use]
     pub fn with_manual(mut self, manual: &'a ManualPolicy) -> Self {
-        self.manual = Some(manual);
+        self.enforcer.manual = Some(manual);
         self
     }
 
     /// Excuse transitions the trained ANN classifies as benign anomalies.
     #[must_use]
     pub fn with_filter(mut self, filter: &'a AnomalyFilter) -> Self {
-        self.filter = Some(filter);
+        self.enforcer.filter = Some(filter);
         self
     }
 
@@ -100,8 +84,9 @@ impl<'a> RuntimeMonitor<'a> {
     /// is a blocked [`Verdict::Violation`] — apply it to the tracked state.
     ///
     /// Multiple events may share one time instance; the clock advances only
-    /// through [`RuntimeMonitor::tick`]. Manual `Deny` rules are *strict*:
-    /// the ANN never excuses them (they encode user safety, not habit).
+    /// through [`RuntimeMonitor::tick`]. The verdict is
+    /// [`Enforcer::verdict`]'s; a [`Verdict::Excused`] action moves the
+    /// state like a safe one.
     ///
     /// # Errors
     ///
@@ -118,23 +103,7 @@ impl<'a> RuntimeMonitor<'a> {
             }));
         }
         let action = EnvAction::single(mini);
-        let manual_decision = self.manual.and_then(|m| m.decide(&self.state, &action));
-        let verdict = match manual_decision {
-            Some(jarvis_policy::RuleEffect::Allow) => Verdict::Safe,
-            Some(jarvis_policy::RuleEffect::Deny) => Verdict::Violation,
-            None if self.table.is_safe_action(&self.state, &action, self.mode) => Verdict::Safe,
-            None => {
-                let excused = self
-                    .filter
-                    .map(|f| f.is_anomalous(&self.state, &action, self.t).unwrap_or(false))
-                    .unwrap_or(false);
-                if excused {
-                    Verdict::Excused
-                } else {
-                    Verdict::Violation
-                }
-            }
-        };
+        let verdict = self.enforcer.verdict(&self.state, &action, self.t);
         if verdict == Verdict::Violation {
             self.alarms.push((self.t, action));
         } else {

@@ -11,7 +11,8 @@
 use crate::env::HomeRlEnv;
 use crate::error::JarvisError;
 use jarvis_iot_model::MiniAction;
-use jarvis_rl::{top_c, DqnAgent, Environment};
+use jarvis_rl::policy::{mask_set, mask_words, max_q_c};
+use jarvis_rl::{DqnAgent, Environment};
 
 /// A suggested next action for the current environment state.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,13 +35,12 @@ pub struct Suggestion {
 /// on observation dimensions.
 pub fn suggest(agent: &DqnAgent, env: &HomeRlEnv<'_>) -> Result<Suggestion, JarvisError> {
     let q = agent.q_values(&env.observe())?;
-    let all: Vec<usize> = (0..env.num_actions()).collect();
-    let valid = env.valid_actions();
-    for c in 0..all.len() {
-        let Some(a) = top_c(&q, &all, c) else { break };
-        if valid.contains(&a) {
-            return Ok(Suggestion { action: env.mini_for(a), q_value: q[a], rank: c });
-        }
+    let mut valid = vec![0; mask_words(env.num_actions())];
+    for a in env.valid_actions() {
+        mask_set(&mut valid, a);
+    }
+    if let Some((a, rank)) = max_q_c(&q, &valid) {
+        return Ok(Suggestion { action: env.mini_for(a), q_value: q[a], rank });
     }
     // The no-op is always valid, so this is unreachable in practice; fall
     // back to it defensively.

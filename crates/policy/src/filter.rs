@@ -8,7 +8,6 @@
 //! measures. The filter classifies each transition, given its state, action,
 //! and time of day, as *benign anomaly* vs *routine*.
 
-use crate::psafe::MatchMode;
 use jarvis_iot_model::{EnvAction, EnvState, EpisodeConfig, Fsm, TimeStep};
 use jarvis_neural::{Activation, Loss, Network, NeuralError, OptimizerKind};
 use jarvis_stdkit::rng::SliceRandom;
@@ -208,13 +207,6 @@ impl AnomalyFilter {
         t: TimeStep,
     ) -> Result<bool, NeuralError> {
         Ok(self.score(state, action, t)? >= self.threshold)
-    }
-
-    /// The match mode a filter-equipped SPL should use for violation checks
-    /// (kept here so callers do not hard-code it).
-    #[must_use]
-    pub fn recommended_match_mode() -> MatchMode {
-        MatchMode::Exact
     }
 }
 

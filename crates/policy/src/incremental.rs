@@ -35,7 +35,7 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FoldOutcome {
     /// Pairs admitted into the table this fold (streak reached the
-    /// hysteresis threshold), in sorted order.
+    /// hysteresis threshold and the table took the pair), in sorted order.
     pub admitted: Vec<(EnvState, EnvAction)>,
     /// Pairs that cleared the support threshold this fold (streak advanced
     /// or pair admitted).
@@ -136,34 +136,34 @@ impl SplDelta {
         let window = std::mem::take(&mut self.window);
         let mut outcome = FoldOutcome::default();
         let mut next_streaks: BTreeMap<(EnvState, EnvAction), u32> = BTreeMap::new();
+        // Tracked pairs whose streak reached the hysteresis this fold.
+        let mut graduated = 0usize;
         for (pair, count) in window {
             if count < support_threshold {
                 continue;
             }
             outcome.supported += 1;
             let streak = self.streaks.get(&pair).copied().unwrap_or(0) + 1;
-            if streak >= hysteresis {
-                table.allow(fsm, &pair.0, &pair.1);
-                outcome.admitted.push(pair);
-            } else {
+            if streak < hysteresis {
                 next_streaks.insert(pair, streak);
+                continue;
+            }
+            graduated += usize::from(self.streaks.contains_key(&pair));
+            // The table skips a pair the FSM cannot step (an action outside
+            // the catalogue): only a pair that entered it is admitted.
+            if table.allow(fsm, &pair.0, &pair.1) {
+                outcome.admitted.push(pair);
             }
         }
         // Anything tracked but not re-supported this fold loses its streak:
-        // hysteresis demands *consecutive* support.
+        // hysteresis demands *consecutive* support. Pairs that graduated are
+        // not "expired".
         outcome.expired = self
             .streaks
             .keys()
             .filter(|pair| !next_streaks.contains_key(*pair))
             .count()
-            // Pairs that were tracked and just got admitted are not "expired".
-            .saturating_sub(
-                outcome
-                    .admitted
-                    .iter()
-                    .filter(|pair| self.streaks.contains_key(*pair))
-                    .count(),
-            );
+            - graduated;
         self.streaks = next_streaks;
         outcome
     }
@@ -254,6 +254,20 @@ mod tests {
             assert_eq!(f.supported, 0);
         }
         assert!(!table.is_safe_action(&s, &a, crate::MatchMode::Exact));
+    }
+
+    #[test]
+    fn pairs_outside_the_catalogue_are_never_admitted() {
+        let fsm = fsm();
+        let mut table = SafeTransitionTable::new();
+        let before = table.clone();
+        let mut delta = SplDelta::new();
+        let bogus = EnvAction::single(MiniAction::new(DeviceId(7), 0));
+        delta.observe(&st(&[0]), &bogus);
+        let f = delta.fold(&fsm, &mut table, 1, 1);
+        assert_eq!(f.supported, 1);
+        assert!(f.admitted.is_empty(), "the table never took the pair");
+        assert_eq!(table, before);
     }
 
     #[test]

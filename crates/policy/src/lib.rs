@@ -17,6 +17,8 @@
 //!
 //! The resulting [`SafeTransitionTable`] is what constrains the RL agent's
 //! exploration (Algorithm 2) and what flags security violations at runtime.
+//! [`Enforcer`] ([`enforce`]) stacks manual rules, the table and the filter
+//! into the one enforcement cascade of Section V-A that every checker asks.
 //!
 //! # Example
 //!
@@ -41,6 +43,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod enforce;
 pub mod filter;
 pub mod incremental;
 pub mod learner;
@@ -48,9 +51,10 @@ pub mod manual;
 pub mod psafe;
 pub mod trigger_action;
 
+pub use enforce::{Enforcer, Verdict};
 pub use filter::{AnomalyFilter, FilterConfig, TransitionFeaturizer};
 pub use incremental::{FoldOutcome, SplDelta};
 pub use learner::{flag_violations, learn_safe_transitions, LearnOutcome, SplConfig};
-pub use manual::{flag_violations_stacked, ManualPolicy, ManualRule, RuleEffect};
+pub use manual::{ManualPolicy, ManualRule, RuleEffect};
 pub use psafe::{MatchMode, SafeTransitionTable};
 pub use trigger_action::{TaBehavior, TaKey};

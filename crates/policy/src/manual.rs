@@ -7,9 +7,9 @@
 //! rule list over trigger/action patterns; it *overrides* the learned table
 //! in both directions — allowing actions the learning phase could never
 //! observe (fire egress) and denying actions no context makes safe
-//! (disabling a smoke sensor).
+//! (disabling a smoke sensor). [`crate::Enforcer`] runs the rules ahead of
+//! the table.
 
-use crate::psafe::{MatchMode, SafeTransitionTable};
 use jarvis_iot_model::{ActionPattern, EnvAction, EnvState, StatePattern};
 use jarvis_stdkit::{json_enum, json_struct};
 
@@ -95,23 +95,6 @@ impl ManualPolicy {
             .find(|r| r.matches(state, action))
             .map(|r| r.effect)
     }
-
-    /// Combined safety decision: manual rules override, the learned table
-    /// decides everything else.
-    #[must_use]
-    pub fn is_safe_with(
-        &self,
-        table: &SafeTransitionTable,
-        state: &EnvState,
-        action: &EnvAction,
-        mode: MatchMode,
-    ) -> bool {
-        match self.decide(state, action) {
-            Some(RuleEffect::Allow) => true,
-            Some(RuleEffect::Deny) => false,
-            None => table.is_safe_action(state, action, mode),
-        }
-    }
 }
 
 impl FromIterator<ManualRule> for ManualPolicy {
@@ -120,29 +103,11 @@ impl FromIterator<ManualRule> for ManualPolicy {
     }
 }
 
-/// Scan an episode for violations under the stacked policy (manual rules
-/// over the learned table).
-#[must_use]
-pub fn flag_violations_stacked(
-    table: &SafeTransitionTable,
-    manual: &ManualPolicy,
-    episode: &jarvis_iot_model::Episode,
-    mode: MatchMode,
-) -> Vec<jarvis_iot_model::TimeStep> {
-    episode
-        .transitions()
-        .iter()
-        .filter(|tr| {
-            !tr.is_idle() && !manual.is_safe_with(table, &tr.state, &tr.action, mode)
-        })
-        .map(|tr| tr.step)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jarvis_iot_model::{ActionIdx, DeviceId, MiniAction, StateIdx};
+    use crate::{Enforcer, MatchMode, SafeTransitionTable, Verdict};
+    use jarvis_iot_model::{ActionIdx, DeviceId, MiniAction, StateIdx, TimeStep};
 
     fn st(v: &[u8]) -> EnvState {
         v.iter().map(|&x| StateIdx(x)).collect()
@@ -183,13 +148,25 @@ mod tests {
         assert_eq!(p.decide(&st(&[0, 0]), &act(0, 0)), None);
     }
 
+    /// The manual rules stacked over `table` (no filter) allow the action.
+    fn stacked_safe(
+        p: &ManualPolicy,
+        table: &SafeTransitionTable,
+        state: &EnvState,
+        action: &EnvAction,
+        mode: MatchMode,
+    ) -> bool {
+        let enforcer = Enforcer { table, mode, manual: Some(p), filter: None };
+        enforcer.verdict(state, action, TimeStep(0)) == Verdict::Safe
+    }
+
     #[test]
     fn allow_overrides_an_empty_table() {
         let p = fire_rules();
         let table = SafeTransitionTable::new(); // learned nothing
-        assert!(p.is_safe_with(&table, &st(&[0, 1]), &act(0, 1), MatchMode::Exact));
+        assert!(stacked_safe(&p, &table, &st(&[0, 1]), &act(0, 1), MatchMode::Exact));
         // Without a rule, defer to the (empty) table.
-        assert!(!p.is_safe_with(&table, &st(&[0, 0]), &act(0, 0), MatchMode::Exact));
+        assert!(!stacked_safe(&p, &table, &st(&[0, 0]), &act(0, 0), MatchMode::Exact));
     }
 
     #[test]
@@ -215,13 +192,13 @@ mod tests {
         assert!(table.is_safe_action(&st(&[0, 0]), &act(1, 0), MatchMode::Exact));
         // The manual deny still blocks it.
         let p = fire_rules();
-        assert!(!p.is_safe_with(&table, &st(&[0, 0]), &act(1, 0), MatchMode::Exact));
+        assert!(!stacked_safe(&p, &table, &st(&[0, 0]), &act(1, 0), MatchMode::Exact));
     }
 
     #[test]
     fn stacked_flagging_respects_allows() {
         use jarvis_iot_model::{
-            Actor, AuthzPolicy, DeviceSpec, EpisodeConfig, EpisodeRecorder, Fsm, UserId,
+            Actor, AuthzPolicy, DeviceSpec, Episode, EpisodeConfig, EpisodeRecorder, Fsm, UserId,
         };
         let lock = DeviceSpec::builder("lock")
             .states(["locked", "unlocked"])
@@ -250,12 +227,22 @@ mod tests {
 
         let table = SafeTransitionTable::new();
         let empty = ManualPolicy::new();
+        let flag_stacked =
+            |table: &SafeTransitionTable, manual: &ManualPolicy, ep: &Episode, mode| {
+                ep.transitions()
+                    .iter()
+                    .filter(|tr| {
+                        !tr.is_idle() && !stacked_safe(manual, table, &tr.state, &tr.action, mode)
+                    })
+                    .map(|tr| tr.step)
+                    .collect::<Vec<_>>()
+            };
         // Without rules both transitions are violations.
-        assert_eq!(flag_violations_stacked(&table, &empty, &ep, MatchMode::Exact).len(), 2);
+        assert_eq!(flag_stacked(&table, &empty, &ep, MatchMode::Exact).len(), 2);
         // The fire-egress allow excuses the unlock (the alarm event itself
         // is still un-learned behavior).
         let p = fire_rules();
-        let flags = flag_violations_stacked(&table, &p, &ep, MatchMode::Exact);
+        let flags = flag_stacked(&table, &p, &ep, MatchMode::Exact);
         assert_eq!(flags.len(), 1);
         assert_eq!(flags[0].0, 0);
     }

@@ -178,31 +178,35 @@ impl SafeTransitionTable {
         self.allow_noop = allow;
     }
 
-    /// Mark `(state, action) → next` as safe.
-    pub fn allow(&mut self, fsm: &Fsm, state: &EnvState, action: &EnvAction) {
-        if let Ok(next) = fsm.step(state, action) {
-            self.insert_pair(state.clone(), action.clone());
-            self.safe_next.entry(state.clone()).or_default().insert(next);
-            for m in action.iter() {
-                if let Some(dev_state) = state.device(m.device) {
-                    let key = (m.device, dev_state, m.action);
-                    self.safe_triples.insert(key);
-                    self.patterns
-                        .entry(key)
-                        .and_modify(|p| *p = intersect(p, state))
-                        .or_insert_with(|| exact_pattern(state));
-                }
+    /// Mark `(state, action) → next` as safe. Returns whether the pair was
+    /// inserted: `false` when it was already safe, or when `fsm` cannot step
+    /// `action` from `state` (an action outside the catalogue), in which
+    /// case nothing is recorded.
+    pub fn allow(&mut self, fsm: &Fsm, state: &EnvState, action: &EnvAction) -> bool {
+        let Ok(next) = fsm.step(state, action) else { return false };
+        let inserted = self.insert_pair(state.clone(), action.clone());
+        self.safe_next.entry(state.clone()).or_default().insert(next);
+        for m in action.iter() {
+            if let Some(dev_state) = state.device(m.device) {
+                let key = (m.device, dev_state, m.action);
+                self.safe_triples.insert(key);
+                self.patterns
+                    .entry(key)
+                    .and_modify(|p| *p = intersect(p, state))
+                    .or_insert_with(|| exact_pattern(state));
             }
         }
+        inserted
     }
 
-    /// Record `(state, action)` in `safe_pairs`, counting it when new.
-    fn insert_pair(&mut self, state: EnvState, action: EnvAction) {
+    /// Record `(state, action)` in `safe_pairs`, counting it when new;
+    /// returns whether it was new.
+    fn insert_pair(&mut self, state: EnvState, action: EnvAction) -> bool {
         let actions = self.safe_pairs.entry(state).or_insert_with(|| Vec::with_capacity(1));
-        if let Err(at) = actions.binary_search(&action) {
-            actions.insert(at, action);
-            self.num_pairs += 1;
-        }
+        let Err(at) = actions.binary_search(&action) else { return false };
+        actions.insert(at, action);
+        self.num_pairs += 1;
+        true
     }
 
     /// Number of safe (state, action) pairs.

@@ -104,12 +104,6 @@ impl QTable {
         policy::argmax(&self.q_row(state), valid)
     }
 
-    /// The `c`-th best action among `valid` — the paper's `Max(Q, c)`.
-    #[must_use]
-    pub fn top_c_action(&self, state: usize, valid: &[usize], c: usize) -> Option<usize> {
-        policy::top_c(&self.q_row(state), valid, c)
-    }
-
     /// ε-greedy action selection over the `valid` set.
     ///
     /// # Panics

@@ -2,8 +2,8 @@
 
 use crate::online::{OnlineConfig, OnlineLearner};
 use jarvis::{encode_observation_into, JarvisError, Verdict};
-use jarvis_iot_model::{EnvAction, EnvState, MiniAction};
-use jarvis_policy::{MatchMode, SafeTransitionTable};
+use jarvis_iot_model::{EnvAction, EnvState, MiniAction, TimeStep};
+use jarvis_policy::{Enforcer, MatchMode, SafeTransitionTable};
 use jarvis_rl::policy::{mask_bits, mask_set, mask_words};
 use jarvis_rl::Experience;
 use jarvis_sim::MINUTES_PER_DAY;
@@ -248,8 +248,19 @@ impl HomeSlot {
         }
     }
 
-    /// The monitor path: check `mini` against the safe-transition table,
-    /// step the state when it is safe, block and alarm when it is not.
+    /// The slot's enforcement cascade: the safe-transition table alone, no
+    /// manual rules and no filter.
+    fn enforcer(&self) -> Enforcer<'_> {
+        Enforcer { table: &self.table, mode: self.mode, manual: None, filter: None }
+    }
+
+    /// The monitor path: judge `mini` through the slot's [`Enforcer`], step
+    /// the state when it is allowed, block and alarm when it is a
+    /// violation.
+    ///
+    /// A mini-action outside this home's catalogue is not an error: no
+    /// table holds it, so it is a [`Verdict::Violation`], and a served
+    /// stream never aborts on one bad envelope.
     ///
     /// With `learn` set and a learner installed, a blocked action feeds the
     /// shadow SPL delta (a candidate for hysteresis admission) and a safe
@@ -258,8 +269,8 @@ impl HomeSlot {
     ///
     /// # Errors
     ///
-    /// Returns a [`JarvisError::Model`] when `mini` does not belong to this
-    /// home's catalogue.
+    /// Returns a [`JarvisError::Model`] only when the table allows an action
+    /// the home's FSM cannot step (a table learned for another catalogue).
     pub(crate) fn observe_action(
         &mut self,
         mini: MiniAction,
@@ -267,7 +278,15 @@ impl HomeSlot {
     ) -> Result<Verdict, JarvisError> {
         let action = EnvAction::single(mini);
         let learning = learn && self.online.is_some();
-        if self.table.is_safe_action(&self.state, &action, self.mode) {
+        let verdict = self.enforcer().verdict(&self.state, &action, TimeStep(self.minute));
+        if verdict == Verdict::Violation {
+            self.alarms += 1;
+            if learning {
+                if let Some(online) = self.online.as_deref_mut() {
+                    online.delta.observe(&self.state, &action);
+                }
+            }
+        } else {
             // Snapshot the pre-step observation only when a replay
             // experience will actually be recorded.
             let flat = if learning {
@@ -292,16 +311,8 @@ impl HomeSlot {
                     });
                 }
             }
-            Ok(Verdict::Safe)
-        } else {
-            self.alarms += 1;
-            if learning {
-                if let Some(online) = self.online.as_deref_mut() {
-                    online.delta.observe(&self.state, &action);
-                }
-            }
-            Ok(Verdict::Violation)
         }
+        Ok(verdict)
     }
 
     /// Encode the current state against the learner's last-seen ambient
@@ -373,13 +384,13 @@ impl HomeSlot {
 
     /// Write the valid-action bitmask of the current state into `mask`
     /// ([`HomeSlot::mask_words`] long): bit `a` is set exactly when the
-    /// safe-transition table allows flat action `a` right now, and bit 0 —
+    /// slot's [`Enforcer`] allows flat action `a` right now, and bit 0 —
     /// the no-op — always. One table probe for the state under
     /// [`MatchMode::Exact`]; no allocation in any mode.
     pub fn fill_valid_mask(&self, mask: &mut [u64]) {
         mask.fill(0);
         mask_set(mask, 0);
-        self.table.for_each_safe_mini(&self.state, &self.agent_actions, self.mode, |i| {
+        self.enforcer().for_each_allowed(&self.state, &self.agent_actions, |i| {
             mask_set(mask, i + 1);
         });
     }
@@ -438,5 +449,33 @@ impl HomeSlot {
         self.online = snap.online.clone().map(Box::new);
         self.mask_stale = true;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use jarvis_iot_model::DeviceId;
+
+    #[test]
+    fn out_of_catalogue_action_is_a_violation_that_never_enters_the_table() {
+        let home = SmartHome::evaluation_home();
+        let mut slot = HomeSlot::new(0, home, SafeTransitionTable::new(), MatchMode::Exact);
+        slot.enable_online(OnlineConfig {
+            fold_every: 1,
+            support_threshold: 1,
+            hysteresis_folds: 1,
+            ..OnlineConfig::default()
+        });
+        let before = slot.state().clone();
+        let bogus = MiniAction::new(DeviceId(99), 0);
+        assert_eq!(slot.observe_action(bogus, true).unwrap(), Verdict::Violation);
+        assert_eq!((slot.alarms(), slot.state()), (1, &before));
+        // The fold that follows supports the pair, but the table cannot
+        // take it, so nothing is admitted.
+        slot.note_event(0, true);
+        let online = slot.online().unwrap();
+        assert_eq!((online.folds, online.admitted), (1, 0));
+        assert!(slot.snapshot().table.is_empty());
     }
 }

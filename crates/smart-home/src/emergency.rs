@@ -73,8 +73,20 @@ pub fn emergency_rules(home: &SmartHome) -> ManualPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jarvis_iot_model::EnvAction;
-    use jarvis_policy::{MatchMode, SafeTransitionTable};
+    use jarvis_iot_model::{EnvAction, EnvState, TimeStep};
+    use jarvis_policy::{Enforcer, MatchMode, SafeTransitionTable, Verdict};
+
+    /// The rules stacked over `table` (no filter) allow the action.
+    fn stacked_safe(
+        policy: &ManualPolicy,
+        table: &SafeTransitionTable,
+        state: &EnvState,
+        action: &EnvAction,
+        mode: MatchMode,
+    ) -> bool {
+        let enforcer = Enforcer { table, mode, manual: Some(policy), filter: None };
+        enforcer.verdict(state, action, TimeStep(0)) == Verdict::Safe
+    }
 
     #[test]
     fn fire_egress_is_allowed_without_learning() {
@@ -86,9 +98,9 @@ mod tests {
             home.state_idx("temp_sensor", "fire_alarm"),
         );
         let unlock = EnvAction::single(home.mini_action("lock", "unlock"));
-        assert!(policy.is_safe_with(&table, &alarm_state, &unlock, MatchMode::Exact));
+        assert!(stacked_safe(&policy, &table, &alarm_state, &unlock, MatchMode::Exact));
         let lights = EnvAction::single(home.mini_action("light", "power_on"));
-        assert!(policy.is_safe_with(&table, &alarm_state, &lights, MatchMode::Exact));
+        assert!(stacked_safe(&policy, &table, &alarm_state, &lights, MatchMode::Exact));
     }
 
     #[test]
@@ -98,7 +110,7 @@ mod tests {
         let table = SafeTransitionTable::new();
         let normal = home.midnight_state();
         let unlock = EnvAction::single(home.mini_action("lock", "unlock"));
-        assert!(!policy.is_safe_with(&table, &normal, &unlock, MatchMode::Exact));
+        assert!(!stacked_safe(&policy, &table, &normal, &unlock, MatchMode::Exact));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! | [`json`] | `serde`, `serde_json` | `Json` tree, strict parser, `ToJson`/`FromJson`, `json_struct!`/`json_newtype!`/`json_enum!` derives |
 //! | [`propcheck`] | `proptest` | seeded property harness, choice-tape shrinking, `prop_assert*!` macros |
 //! | [`bench`] | `criterion` | warmup+sampling micro-bench runner, `bench_group!`/`bench_main!` |
-//! | [`sync`] | `crossbeam-channel` / `crossbeam-deque` | bounded MPSC channels with blocking and shedding sends; lock-free bounded MPMC steal queues |
+//! | [`sync`] | `crossbeam-deque` | lock-free bounded MPMC steal queues |
 //! | [`pool`] | `rayon` (scoped pools) | persistent lazily-started worker pool with `StealQueue` handoff, caller participation, and scoped fork/join |
 //! | [`alloc`] | allocation-counting test allocators | `CountingAlloc`, a per-thread counting `GlobalAlloc` over `System` for allocation-budget tests |
 //!

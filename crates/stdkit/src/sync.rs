@@ -1,289 +1,18 @@
-//! Bounded channels and lock-free run queues.
+//! A lock-free bounded run queue, the replacement for `crossbeam`'s.
 //!
-//! Two primitives, both bounded, both replacements for `crossbeam`:
-//!
-//! 1. **[`bounded`] MPSC channel** — `Mutex`+`Condvar` based, blocking
-//!    sends, used where producers should *sleep* under backpressure. A hard
-//!    capacity bound gives explicit backpressure — a full queue either
-//!    blocks the producer ([`Sender::send`]) or reports the overflow
-//!    immediately ([`Sender::try_send`]) so the caller can shed load
-//!    *visibly* instead of buffering without limit.
-//! 2. **[`StealQueue`] lock-free ring** — an atomic sequence-numbered
-//!    bounded ring (Vyukov-style) with non-blocking `try_push`/`pop`. It is
-//!    safe under any producer/consumer mix; the serving runtime uses one as
-//!    an SPSC ingest ring per shard (router → worker) and one as an SPMC
-//!    run queue per shard that idle workers *steal* closed inference
-//!    batches from. No mutex, no condvar: a push or pop is a couple of
-//!    atomic operations, so neither side ever syscall-parks the other.
-//!
-//! Channel semantics:
-//!
-//! - [`Sender`] is cloneable; [`Receiver`] is not (single consumer).
-//! - When every sender is dropped, the receiver drains the remaining
-//!   messages and then [`Receiver::recv`] returns `None`.
-//! - When the receiver is dropped, sends fail with
-//!   [`TrySendError::Disconnected`] and the value is handed back.
+//! [`StealQueue`] is an atomic sequence-numbered bounded ring
+//! (Vyukov-style) with non-blocking `try_push`/`pop`. It is safe under any
+//! producer/consumer mix; the serving runtime uses one as an SPSC ingest
+//! ring per shard (router → worker) and one as an SPMC run queue per shard
+//! that idle workers *steal* closed inference batches from. No mutex, no
+//! condvar: a push or pop is a couple of atomic operations, so neither side
+//! ever syscall-parks the other. A hard capacity bound gives explicit
+//! backpressure: a full ring hands the value back ([`PushError::Full`]) so
+//! the caller can shed load *visibly* instead of buffering without limit.
 
 use std::cell::UnsafeCell;
-use std::collections::VecDeque;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-
-/// Why a [`Sender::try_send`] did not enqueue the value.
-///
-/// Both variants hand the rejected value back to the caller so nothing is
-/// silently dropped.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TrySendError<T> {
-    /// The queue is at capacity; the value was not enqueued.
-    Full(T),
-    /// The receiver is gone; no send can ever succeed again.
-    Disconnected(T),
-}
-
-/// Error returned by a blocking [`Sender::send`] when the receiver is gone.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SendError<T>(
-    /// The value that could not be delivered.
-    pub T,
-);
-
-struct Shared<T> {
-    inner: Mutex<State<T>>,
-    /// Signalled when the queue gains an item (wakes the receiver).
-    filled: Condvar,
-    /// Signalled when the queue loses an item or closes (wakes blocked senders).
-    drained: Condvar,
-}
-
-struct State<T> {
-    queue: VecDeque<T>,
-    capacity: usize,
-    senders: usize,
-    receiver_alive: bool,
-}
-
-/// The producing half of a bounded channel. Clone freely.
-pub struct Sender<T> {
-    shared: Arc<Shared<T>>,
-}
-
-/// The consuming half of a bounded channel. Exactly one exists per channel.
-pub struct Receiver<T> {
-    shared: Arc<Shared<T>>,
-}
-
-/// Create a bounded channel with room for `capacity` queued messages.
-///
-/// # Panics
-///
-/// Panics when `capacity` is zero: a zero-capacity rendezvous channel is not
-/// supported (every `try_send` would fail and `send` would deadlock against
-/// this implementation's buffer-based protocol).
-#[must_use]
-pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-    assert!(capacity > 0, "bounded channel capacity must be at least 1");
-    let shared = Arc::new(Shared {
-        inner: Mutex::new(State {
-            queue: VecDeque::with_capacity(capacity),
-            capacity,
-            senders: 1,
-            receiver_alive: true,
-        }),
-        filled: Condvar::new(),
-        drained: Condvar::new(),
-    });
-    (Sender { shared: Arc::clone(&shared) }, Receiver { shared })
-}
-
-impl<T> Sender<T> {
-    /// Enqueue `value`, blocking while the queue is full.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SendError`] carrying the value back when the receiver has
-    /// been dropped.
-    pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        let mut state = self.shared.inner.lock().expect("channel lock poisoned");
-        loop {
-            if !state.receiver_alive {
-                return Err(SendError(value));
-            }
-            if state.queue.len() < state.capacity {
-                state.queue.push_back(value);
-                drop(state);
-                // lock-ok: the condvar shares the channel's Arc with the
-                // mutex, so the notified state outlives every waiter; recv
-                // re-checks the queue under the lock, and notifying after
-                // the unlock spares the woken receiver an immediate block.
-                self.shared.filled.notify_one();
-                return Ok(());
-            }
-            state = self
-                .shared
-                .drained
-                .wait(state)
-                .expect("channel lock poisoned");
-        }
-    }
-
-    /// Enqueue `value` without blocking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TrySendError::Full`] when the queue is at capacity and
-    /// [`TrySendError::Disconnected`] when the receiver has been dropped;
-    /// both hand the value back.
-    pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        let mut state = self.shared.inner.lock().expect("channel lock poisoned");
-        if !state.receiver_alive {
-            return Err(TrySendError::Disconnected(value));
-        }
-        if state.queue.len() >= state.capacity {
-            return Err(TrySendError::Full(value));
-        }
-        state.queue.push_back(value);
-        drop(state);
-        // lock-ok: Arc-shared condvar + predicate re-check in recv (see
-        // send); notify-after-unlock avoids a pessimistic wakeup.
-        self.shared.filled.notify_one();
-        Ok(())
-    }
-}
-
-impl<T> Clone for Sender<T> {
-    fn clone(&self) -> Self {
-        let mut state = self.shared.inner.lock().expect("channel lock poisoned");
-        state.senders += 1;
-        drop(state);
-        Sender { shared: Arc::clone(&self.shared) }
-    }
-}
-
-impl<T> Drop for Sender<T> {
-    fn drop(&mut self) {
-        let mut state = self.shared.inner.lock().expect("channel lock poisoned");
-        state.senders -= 1;
-        let last = state.senders == 0;
-        drop(state);
-        if last {
-            // Wake a receiver blocked in recv() so it can observe the close.
-            // lock-ok: the receiver holds its own Arc clone of the shared
-            // state, so the condvar outlives this sender; recv re-checks
-            // `senders == 0` under the lock before returning None.
-            self.shared.filled.notify_all();
-        }
-    }
-}
-
-impl<T> Receiver<T> {
-    /// Dequeue the next message, blocking while the queue is empty.
-    ///
-    /// Returns `None` once every sender has been dropped *and* the queue is
-    /// drained — no message is ever lost to a close.
-    pub fn recv(&self) -> Option<T> {
-        let mut state = self.shared.inner.lock().expect("channel lock poisoned");
-        loop {
-            if let Some(value) = state.queue.pop_front() {
-                drop(state);
-                // lock-ok: Arc-shared condvar + capacity re-check in send;
-                // notify-after-unlock spares the woken sender a block.
-                self.shared.drained.notify_one();
-                return Some(value);
-            }
-            if state.senders == 0 {
-                return None;
-            }
-            state = self
-                .shared
-                .filled
-                .wait(state)
-                .expect("channel lock poisoned");
-        }
-    }
-
-    /// Dequeue the next message without blocking; `None` when the queue is
-    /// currently empty (regardless of whether senders remain).
-    pub fn try_recv(&self) -> Option<T> {
-        let mut state = self.shared.inner.lock().expect("channel lock poisoned");
-        let value = state.queue.pop_front();
-        drop(state);
-        if value.is_some() {
-            // lock-ok: Arc-shared condvar + capacity re-check in send (see
-            // recv); the queue slot freed above stays freed.
-            self.shared.drained.notify_one();
-        }
-        value
-    }
-
-    /// A blocking iterator over incoming messages; ends when the channel
-    /// closes (every sender dropped and the queue drained).
-    pub fn iter(&self) -> Iter<'_, T> {
-        Iter { receiver: self }
-    }
-}
-
-impl<T> Drop for Receiver<T> {
-    fn drop(&mut self) {
-        let mut state = self.shared.inner.lock().expect("channel lock poisoned");
-        state.receiver_alive = false;
-        drop(state);
-        // Wake senders blocked in send() so they can observe the close.
-        // lock-ok: senders hold their own Arc clones, so the condvar
-        // outlives this receiver; send re-checks `receiver_alive` under
-        // the lock before retrying.
-        self.shared.drained.notify_all();
-    }
-}
-
-/// Blocking iterator returned by [`Receiver::iter`].
-pub struct Iter<'a, T> {
-    receiver: &'a Receiver<T>,
-}
-
-impl<T> Iterator for Iter<'_, T> {
-    type Item = T;
-
-    fn next(&mut self) -> Option<T> {
-        self.receiver.recv()
-    }
-}
-
-impl<'a, T> IntoIterator for &'a Receiver<T> {
-    type Item = T;
-    type IntoIter = Iter<'a, T>;
-
-    fn into_iter(self) -> Iter<'a, T> {
-        self.iter()
-    }
-}
-
-impl<T> IntoIterator for Receiver<T> {
-    type Item = T;
-    type IntoIter = IntoIter<T>;
-
-    fn into_iter(self) -> IntoIter<T> {
-        IntoIter { receiver: self }
-    }
-}
-
-/// Owning blocking iterator returned by [`Receiver::into_iter`].
-pub struct IntoIter<T> {
-    receiver: Receiver<T>,
-}
-
-impl<T> Iterator for IntoIter<T> {
-    type Item = T;
-
-    fn next(&mut self) -> Option<T> {
-        self.receiver.recv()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// StealQueue: lock-free bounded ring with work stealing
-// ---------------------------------------------------------------------------
 
 /// Why a [`StealQueue::try_push`] did not enqueue the value.
 ///
@@ -530,101 +259,8 @@ impl<T> std::fmt::Debug for StealQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use std::thread;
-
-    #[test]
-    fn fifo_within_capacity() {
-        let (tx, rx) = bounded(4);
-        for i in 0..4 {
-            tx.try_send(i).unwrap();
-        }
-        drop(tx);
-        let got: Vec<i32> = rx.into_iter().collect();
-        assert_eq!(got, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn try_send_reports_full_and_returns_value() {
-        let (tx, rx) = bounded(2);
-        tx.try_send(1).unwrap();
-        tx.try_send(2).unwrap();
-        assert_eq!(tx.try_send(3), Err(TrySendError::Full(3)));
-        assert_eq!(rx.recv(), Some(1));
-        tx.try_send(3).unwrap();
-        assert_eq!(rx.recv(), Some(2));
-        assert_eq!(rx.recv(), Some(3));
-    }
-
-    #[test]
-    fn close_drains_remaining_messages() {
-        let (tx, rx) = bounded(8);
-        tx.try_send("a").unwrap();
-        tx.try_send("b").unwrap();
-        drop(tx);
-        assert_eq!(rx.recv(), Some("a"));
-        assert_eq!(rx.recv(), Some("b"));
-        assert_eq!(rx.recv(), None);
-        assert_eq!(rx.recv(), None);
-    }
-
-    #[test]
-    fn send_fails_after_receiver_drops() {
-        let (tx, rx) = bounded(1);
-        drop(rx);
-        assert_eq!(tx.send(7), Err(SendError(7)));
-        assert_eq!(tx.try_send(8), Err(TrySendError::Disconnected(8)));
-    }
-
-    #[test]
-    fn blocking_send_wakes_when_space_frees() {
-        let (tx, rx) = bounded(1);
-        tx.send(0).unwrap();
-        let producer = thread::spawn(move || {
-            // Blocks until the consumer below drains the first message.
-            tx.send(1).unwrap();
-        });
-        assert_eq!(rx.recv(), Some(0));
-        assert_eq!(rx.recv(), Some(1));
-        producer.join().unwrap();
-    }
-
-    #[test]
-    fn many_producers_one_consumer_loses_nothing() {
-        let (tx, rx) = bounded(3);
-        let producers: Vec<_> = (0..4)
-            .map(|p| {
-                let tx = tx.clone();
-                thread::spawn(move || {
-                    for i in 0..100 {
-                        tx.send(p * 100 + i).unwrap();
-                    }
-                })
-            })
-            .collect();
-        drop(tx);
-        let mut got: Vec<i32> = rx.into_iter().collect();
-        for p in producers {
-            p.join().unwrap();
-        }
-        got.sort_unstable();
-        let want: Vec<i32> = (0..4).flat_map(|p| (0..100).map(move |i| p * 100 + i)).collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn try_recv_never_blocks() {
-        let (tx, rx) = bounded::<u8>(1);
-        assert_eq!(rx.try_recv(), None);
-        tx.try_send(9).unwrap();
-        assert_eq!(rx.try_recv(), Some(9));
-        assert_eq!(rx.try_recv(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be at least 1")]
-    fn zero_capacity_is_rejected() {
-        let _ = bounded::<u8>(0);
-    }
 
     // -----------------------------------------------------------------------
     // StealQueue: single-thread semantics

@@ -1,13 +1,13 @@
 #!/usr/bin/env sh
 # Opt-in dynamic-analysis pass for the hand-rolled concurrency primitives
-# (crates/stdkit/src/sync.rs: the bounded MPSC channel and the lock-free
-# StealQueue ring under the threaded work-stealing serving runtime;
-# crates/stdkit/src/pool.rs: the persistent worker pool and its scoped
-# fork/join handoff). The `sync` and `pool` test filters pick up the whole
-# battery: FIFO/lap ordering, full/empty boundaries, drop-with-pending leak
-# checks, the seeded router/worker, owner-vs-thieves, and MPMC interleaving
-# stress tests, plus pool reuse, panic containment, nested-join progress,
-# and ring-overflow fallback.
+# (crates/stdkit/src/sync.rs: the lock-free StealQueue ring under the
+# threaded work-stealing serving runtime; crates/stdkit/src/pool.rs: the
+# persistent worker pool and its scoped fork/join handoff). The `sync` and
+# `pool` test filters pick up the whole battery: FIFO/lap ordering,
+# full/empty boundaries, drop-with-pending leak checks, the seeded
+# router/worker, owner-vs-thieves, and MPMC interleaving stress tests, plus
+# pool reuse, panic containment, nested-join progress, and ring-overflow
+# fallback.
 #
 # The supervision battery (crates/runtime/tests/supervision.rs: catch_unwind
 # shard boundaries, WAL restore/replay, threaded-vs-deterministic recovery
@@ -34,7 +34,7 @@
 # them: every annotated site must live in a module driven here under TSan
 # and Miri, which check_ordering_coverage enforces below. Data races are
 # out of static reach, so this script drives ThreadSanitizer and Miri
-# at the stdkit sync/channel tests. Both require a NIGHTLY toolchain with
+# at the stdkit sync and pool tests. Both require a NIGHTLY toolchain with
 # the matching components (rust-src for -Zbuild-std, miri). The script is
 # NOT part of scripts/verify.sh — the pinned toolchain in the offline image
 # is stable — and exits 0 with a notice when nightly is unavailable, so it
@@ -98,7 +98,7 @@ run_tsan() {
         echo "sanitizers: nightly rust-src not installed (needed for -Zbuild-std); skipping TSan"
         return 0
     fi
-    echo "==> ThreadSanitizer: jarvis-stdkit sync + pool tests (channel, StealQueue, WorkerPool)"
+    echo "==> ThreadSanitizer: jarvis-stdkit sync + pool tests (StealQueue, WorkerPool)"
     RUSTFLAGS="-Zsanitizer=thread" \
         cargo +nightly test --offline -p jarvis-stdkit sync pool \
         -Zbuild-std --target "$target"
@@ -121,7 +121,7 @@ run_miri() {
         echo "sanitizers: nightly miri not installed; skipping Miri"
         return 0
     fi
-    echo "==> Miri: jarvis-stdkit sync + pool tests (channel, StealQueue, WorkerPool)"
+    echo "==> Miri: jarvis-stdkit sync + pool tests (StealQueue, WorkerPool)"
     cargo +nightly miri test --offline -p jarvis-stdkit sync pool
     echo "==> Miri: jarvis-runtime supervision battery (supervisor, WAL, chaos recovery)"
     cargo +nightly miri test --offline -p jarvis-runtime --test supervision

@@ -2,10 +2,14 @@
 //! spanning the workspace crates.
 
 use jarvis_repro::model::{
-    DeviceId, DeviceSpec, EnvAction, EnvState, Fsm, MiniAction, StateIdx, StatePattern,
+    ActionPattern, DeviceId, DeviceSpec, EnvAction, EnvState, Fsm, MiniAction,
+    StateIdx, StatePattern, TimeStep,
 };
 use jarvis_repro::neural::metrics::{auc, Confusion};
-use jarvis_repro::policy::{MatchMode, SafeTransitionTable};
+use jarvis_repro::policy::{
+    Enforcer, ManualPolicy, ManualRule, MatchMode, RuleEffect, SafeTransitionTable, Verdict,
+};
+use jarvis_repro::smart_home::{emergency_rules, SmartHome};
 use jarvis_repro::rl::policy::{argmax, mask_bits, mask_set, mask_words, max_q_c};
 use jarvis_repro::rl::{top_c, ReplayBuffer};
 use jarvis_stdkit::prop_assert;
@@ -300,14 +304,52 @@ fn one_pass_walk_on_nan_rows_follows_argmax() {
     });
 }
 
+/// 0..=6 random Allow/Deny rules over `fsm`: each pins up to two device
+/// states in its trigger and one device's action (or forbids any action on
+/// it) in its action pattern.
+fn gen_manual(g: &mut Gen, fsm: &Fsm) -> ManualPolicy {
+    let sizes = fsm.state_sizes();
+    let k = sizes.len();
+    (0..g.usize_in(0, 6))
+        .map(|i| {
+            let mut trigger = StatePattern::any(k);
+            for _ in 0..g.usize_in(0, 2) {
+                let d = g.usize_in(0, k - 1);
+                trigger = trigger.with(DeviceId(d), StateIdx(g.u8() % sizes[d] as u8));
+            }
+            let m = *g.choose(&fsm.mini_actions());
+            let action = if g.bool(0.2) {
+                ActionPattern::any(k).without(m.device)
+            } else {
+                ActionPattern::any(k).with(m.device, m.action)
+            };
+            let effect = if g.bool(0.5) { RuleEffect::Allow } else { RuleEffect::Deny };
+            ManualRule { name: format!("r{i}"), trigger, action, effect }
+        })
+        .collect()
+}
+
 /// `for_each_safe_mini` — the valid-action mask's table probe — marks
 /// exactly the mini-actions the per-action `is_safe_action` rule calls
-/// safe, in every match mode, over random tables (singles, joint actions
-/// and the no-op allowed from random states) and random query states.
+/// safe, and `Enforcer::for_each_allowed` exactly those its `verdict`
+/// does not call a violation, in every match mode, over random tables
+/// (singles, joint actions and the no-op allowed from random states),
+/// random query states, and manual rules: none, random Allow/Deny rules,
+/// or the evaluation home's emergency rules over that home's FSM.
 #[test]
 fn safe_mini_marks_match_the_per_action_oracle() {
+    let home = SmartHome::evaluation_home();
+    let emergency = emergency_rules(&home);
     Config::with_cases(64).run(|g| {
-        let fsm = gen_fsm(g);
+        let (fsm, manual) = match g.usize_in(0, 3) {
+            0 => (home.fsm().clone(), Some(emergency.clone())),
+            1 => (gen_fsm(g), None),
+            _ => {
+                let fsm = gen_fsm(g);
+                let manual = gen_manual(g, &fsm);
+                (fsm, Some(manual))
+            }
+        };
         let minis = fsm.mini_actions();
         let mut table = SafeTransitionTable::new();
         table.set_allow_noop(g.bool(0.5));
@@ -337,6 +379,18 @@ fn safe_mini_marks_match_the_per_action_oracle() {
                     .filter(|&i| table.is_safe_action(&state, &EnvAction::single(minis[i]), mode))
                     .collect();
                 prop_assert_eq!(&marked, &oracle, "{mode:?}");
+
+                let enforcer =
+                    Enforcer { table: &table, mode, manual: manual.as_ref(), filter: None };
+                let mut allowed = Vec::new();
+                enforcer.for_each_allowed(&state, &minis, |i| allowed.push(i));
+                let oracle: Vec<usize> = (0..minis.len())
+                    .filter(|&i| {
+                        let action = EnvAction::single(minis[i]);
+                        enforcer.verdict(&state, &action, TimeStep(0)) != Verdict::Violation
+                    })
+                    .collect();
+                prop_assert_eq!(&allowed, &oracle, "{mode:?} with {manual:?}");
             }
         }
         Ok(())
