@@ -9,8 +9,6 @@
 //!   sizes 16/32/64/128: f64 pinned to scalar (the pre-SIMD kernels), f64
 //!   at the detected tier, and the int8 quantized forward at both scalar
 //!   and the detected tier.
-//! * **Worker pool** — `run_scoped` fork/join overhead vs a fresh
-//!   `thread::scope` spawn for the same task set.
 //! * **Training step** — one DQN `Replay(BSize)` (`train/dqn_replay/32`)
 //!   at the paper's default agent shape on the evaluation home: 64×64
 //!   hidden layers, batch 32, a full replay memory of 10 000 transitions.
@@ -47,7 +45,6 @@ use jarvis_rl::{DqnAgent, DqnConfig, Environment, Experience};
 use jarvis_sim::HomeDataset;
 use jarvis_smart_home::SmartHome;
 use jarvis_stdkit::json::Json;
-use jarvis_stdkit::pool::WorkerPool;
 use jarvis_stdkit::rng::{ChaCha8Rng, Rng, SeedableRng};
 
 /// Sizes swept for square `m×k×n` products: 64 is the widest layer the
@@ -317,33 +314,6 @@ fn run_suite(budget: Duration) -> (Vec<Measurement>, Gates) {
         &mut results,
         "train/dqn_replay/32".into(),
         measure(budget, || agent.replay().expect("replay").expect("memory is full")),
-    );
-
-    // --- Worker-pool fork/join overhead --------------------------------
-    let pool = WorkerPool::with_workers(4);
-    record(
-        &mut results,
-        "pool/run_scoped8".into(),
-        measure(budget, || {
-            let outs = [0u64; 8].map(std::hint::black_box);
-            let tasks: Vec<jarvis_stdkit::pool::ScopedTask<'_>> = outs
-                .iter()
-                .map(|o| Box::new(move || { std::hint::black_box(o); }) as _)
-                .collect();
-            pool.run_scoped(tasks);
-        }),
-    );
-    record(
-        &mut results,
-        "pool/thread_scope8".into(),
-        measure(budget, || {
-            let outs = [0u64; 8].map(std::hint::black_box);
-            std::thread::scope(|s| {
-                for o in &outs {
-                    s.spawn(move || { std::hint::black_box(o); });
-                }
-            });
-        }),
     );
 
     (results, Gates { quant_speedup, argmax_agreement })

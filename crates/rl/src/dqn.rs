@@ -195,19 +195,8 @@ impl QuantizedPolicy {
         self.qnet.output_size()
     }
 
-    /// Q values for a whole batch of observations through the int8 forward.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`NeuralError`] when the batch is empty, ragged, or has the
-    /// wrong row width.
-    pub fn q_values_batch(&self, obs: &[&[f64]]) -> Result<Vec<Vec<f64>>, NeuralError> {
-        self.qnet.forward_batch(obs)
-    }
-
-    /// Q values for a packed `batch × state_dim` observation matrix, as a
-    /// `batch × num_actions` matrix; row `i` is bit-identical to
-    /// [`Self::q_values_batch`]'s.
+    /// Q values for a packed `batch × state_dim` observation matrix through
+    /// the int8 forward, as a `batch × num_actions` matrix.
     ///
     /// # Errors
     ///
@@ -215,25 +204,6 @@ impl QuantizedPolicy {
     /// width.
     pub fn q_values_matrix(&self, obs: &Matrix) -> Result<Matrix, NeuralError> {
         self.qnet.forward_matrix(obs)
-    }
-
-    /// Greedy actions for a batch, each masked by its own `valid` set —
-    /// the quantized mirror of [`DqnAgent::best_action_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`NeuralError`] when `obs` and `valid` disagree in length or
-    /// the batch is empty, ragged, or mis-sized.
-    pub fn best_action_batch(
-        &self,
-        obs: &[&[f64]],
-        valid: &[&[usize]],
-    ) -> Result<Vec<Option<usize>>, NeuralError> {
-        if obs.len() != valid.len() {
-            return Err(NeuralError::BadBatch { reason: "obs/valid count mismatch" });
-        }
-        let q = self.q_values_batch(obs)?;
-        Ok(q.iter().zip(valid).map(|(row, v)| policy::argmax(row, v)).collect())
     }
 }
 
@@ -341,93 +311,25 @@ impl DqnAgent {
         Ok(policy::argmax(&self.q_values(obs)?, valid))
     }
 
-    /// Greedy actions for a batch, each masked by its own `valid` set
-    /// (per-home constraint masking in the serving runtime).
-    ///
-    /// Row `i` is `None` exactly when `valid[i]` is empty.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`NeuralError`] when `obs` and `valid` disagree in length or
-    /// the batch is empty, ragged, or mis-sized.
-    pub fn best_action_batch(
-        &self,
-        obs: &[&[f64]],
-        valid: &[&[usize]],
-    ) -> Result<Vec<Option<usize>>, NeuralError> {
-        if obs.len() != valid.len() {
-            return Err(NeuralError::BadBatch { reason: "obs/valid count mismatch" });
-        }
-        let q = self.q_values_batch(obs)?;
-        Ok(q.iter().zip(valid).map(|(row, v)| policy::argmax(row, v)).collect())
-    }
-
-    /// ε-greedy action selection among `valid`.
-    ///
-    /// Delegates to [`DqnAgent::act_batch`] with a batch of one so the
-    /// single-state and batched paths cannot drift apart.
+    /// ε-greedy action selection among `valid`: one `should_explore` draw,
+    /// then one uniform draw among `valid` when exploring, else the greedy
+    /// [`Self::best_action`].
     ///
     /// # Errors
     ///
-    /// Returns a [`NeuralError`] when `obs` has the wrong length.
+    /// Returns a [`NeuralError`] when the agent acts greedily and `obs` has
+    /// the wrong length.
     ///
     /// # Panics
     ///
     /// Panics when `valid` is empty — Jarvis environments always offer at
     /// least the no-op.
     pub fn act(&mut self, obs: &[f64], valid: &[usize]) -> Result<usize, NeuralError> {
-        Ok(self.act_batch(&[obs], &[valid])?[0])
-    }
-
-    /// ε-greedy action selection for a whole batch of states.
-    ///
-    /// The RNG is consumed row by row in batch order — one `should_explore`
-    /// draw per row plus one uniform draw when that row explores — exactly
-    /// the stream `act` would consume called sequentially on each row.
-    /// Greedy rows are then answered together through one
-    /// [`DqnAgent::q_values_batch`] matrix pass (which draws no randomness),
-    /// so `act_batch(batch)` is bit-identical to mapping `act` over the batch
-    /// while doing the network work at batched-GEMM throughput.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`NeuralError`] when `obs` and `valid` disagree in length or
-    /// the observations are empty, ragged, or mis-sized.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any `valid` row is empty — Jarvis environments always
-    /// offer at least the no-op.
-    pub fn act_batch(
-        &mut self,
-        obs: &[&[f64]],
-        valid: &[&[usize]],
-    ) -> Result<Vec<usize>, NeuralError> {
-        if obs.len() != valid.len() {
-            return Err(NeuralError::BadBatch { reason: "obs/valid count mismatch" });
+        assert!(!valid.is_empty(), "no valid action available");
+        if self.schedule.should_explore(&mut self.rng) {
+            return Ok(*valid.choose(&mut self.rng).expect("non-empty"));
         }
-        if obs.is_empty() {
-            return Err(NeuralError::BadBatch { reason: "empty batch" });
-        }
-        let mut chosen: Vec<Option<usize>> = Vec::with_capacity(obs.len());
-        let mut greedy_rows: Vec<usize> = Vec::new();
-        for (i, v) in valid.iter().enumerate() {
-            assert!(!v.is_empty(), "no valid action available");
-            if self.schedule.should_explore(&mut self.rng) {
-                chosen.push(Some(*v.choose(&mut self.rng).expect("non-empty")));
-            } else {
-                chosen.push(None);
-                greedy_rows.push(i);
-            }
-        }
-        if !greedy_rows.is_empty() {
-            let greedy_obs: Vec<&[f64]> = greedy_rows.iter().map(|&i| obs[i]).collect();
-            let q = self.q_values_batch(&greedy_obs)?;
-            for (&i, row) in greedy_rows.iter().zip(&q) {
-                chosen[i] = Some(policy::argmax(row, valid[i]).expect("non-empty"));
-            }
-        }
-        Ok(chosen.into_iter().map(|c| c.expect("every row resolved")).collect())
+        Ok(self.best_action(obs, valid)?.expect("non-empty"))
     }
 
     /// Quantize the online network to int8 fixed-point for serving,
@@ -859,10 +761,8 @@ mod tests {
         loop {
             let obs = env.observe();
             let valid = env.valid_actions();
-            let a = qp
-                .best_action_batch(&[&obs], &[&valid])
-                .unwrap()[0]
-                .unwrap();
+            let q = qp.q_values_matrix(&Matrix::row_from_slice(&obs)).unwrap();
+            let a = policy::argmax(q.row(0), &valid).unwrap();
             let s = env.step(a);
             steps += 1;
             if s.done {

@@ -53,7 +53,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod constraint;
 pub mod dqn;
 pub mod env;
 pub mod explore;
@@ -61,7 +60,6 @@ pub mod policy;
 pub mod qtable;
 pub mod replay;
 
-pub use constraint::ConstrainedEnv;
 pub use dqn::{DqnAgent, DqnCheckpoint, DqnConfig, Experience, Parallelism, QuantizedPolicy};
 pub use env::{DiscreteEnvironment, Environment, Step};
 pub use explore::EpsilonSchedule;

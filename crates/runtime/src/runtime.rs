@@ -76,11 +76,6 @@ pub struct RuntimeConfig {
     pub worker_throttle_ns: u64,
     /// How homes are placed onto shards. Default: [`Placement::LoadAware`].
     pub placement: Placement,
-    /// Stride of the fixed steal schedule: shard `i` tries victims `i +
-    /// stride`, `i + 2·stride`, … (mod `shards`). 1 = ring order. The
-    /// schedule permutes who steals from whom first; outputs are invariant
-    /// because stolen batches are pure.
-    pub steal_stride: usize,
     /// Injectable telemetry clock for decision latencies (monotonic
     /// nanoseconds). `None` (the default) makes serving perform zero
     /// wall-clock calls — timing is not part of the determinism contract,
@@ -92,7 +87,7 @@ pub struct RuntimeConfig {
 impl RuntimeConfig {
     /// Defaults: `queue_capacity` 256, `batch_window` 16, blocking
     /// backpressure, threaded execution, exact-match monitoring,
-    /// load-aware placement, steal stride 1.
+    /// load-aware placement.
     #[must_use]
     pub fn new(shards: usize) -> Self {
         RuntimeConfig {
@@ -104,7 +99,6 @@ impl RuntimeConfig {
             match_mode: MatchMode::Exact,
             worker_throttle_ns: 0,
             placement: Placement::LoadAware,
-            steal_stride: 1,
             telemetry: None,
         }
     }
@@ -118,9 +112,6 @@ impl RuntimeConfig {
         }
         if self.batch_window == 0 {
             return Err(JarvisError::Config("batch window must be at least 1".into()));
-        }
-        if self.steal_stride == 0 {
-            return Err(JarvisError::Config("steal stride must be at least 1".into()));
         }
         Ok(())
     }
@@ -1240,7 +1231,6 @@ fn run_stealing(
     config: &RuntimeConfig,
     supervisors: &mut [ShardSupervisor<'_>],
 ) -> Result<Served, JarvisError> {
-    let stride = config.steal_stride;
     let throttle = Duration::from_nanos(config.worker_throttle_ns);
     let capacity = config.queue_capacity;
     let shared = WorkerShared::new(routed_counts(route, parts.len()), capacity);
@@ -1255,7 +1245,7 @@ fn run_stealing(
         for (idx, part) in parts.iter_mut().enumerate() {
             let sup = supervisors.next();
             handles.push(s.spawn(move || {
-                shard::run_worker(idx, part, roster, sup, stride, throttle, shared)
+                shard::run_worker(idx, part, roster, sup, throttle, shared)
             }));
         }
         'route: for (env, &shard_idx) in events.into_iter().zip(route) {

@@ -309,28 +309,12 @@ impl WorkerShared {
     }
 }
 
-/// The fixed victim order for shard `idx` among `shards` shards: `idx +
-/// stride`, `idx + 2·stride`, … (mod `shards`), then any shard the stride
-/// skipped (non-coprime strides), in ascending order. Deriving the order
-/// from the shard id keeps every run's steal *schedule* reproducible; the
-/// steal *timing* does not matter because stolen batches are pure.
-pub(crate) fn steal_order(idx: usize, shards: usize, stride: usize) -> Vec<usize> {
-    let mut order = Vec::with_capacity(shards.saturating_sub(1));
-    let mut seen = vec![false; shards];
-    seen[idx] = true;
-    for k in 1..shards {
-        let victim = (idx + k * stride) % shards;
-        if !seen[victim] {
-            seen[victim] = true;
-            order.push(victim);
-        }
-    }
-    for (victim, covered) in seen.iter().enumerate() {
-        if !covered {
-            order.push(victim);
-        }
-    }
-    order
+/// The fixed victim order for shard `idx` among `shards` shards: ring
+/// order `idx + 1`, `idx + 2`, … (mod `shards`). Deriving the order from
+/// the shard id keeps every run's steal *schedule* reproducible; the steal
+/// *timing* does not matter because stolen batches are pure.
+pub(crate) fn steal_order(idx: usize, shards: usize) -> Vec<usize> {
+    (1..shards).map(|k| (idx + k) % shards).collect()
 }
 
 /// Apply one event to its slot: actions are monitor-checked, sensors step
@@ -545,12 +529,11 @@ pub(crate) fn run_worker(
     slots: &mut BTreeMap<u64, HomeSlot>,
     roster: &Roster<'_>,
     sup: Option<&mut ShardSupervisor<'_>>,
-    stride: usize,
     throttle: Duration,
     shared: &WorkerShared,
 ) -> Result<ShardOutput, JarvisError> {
     let mut guard = ExitGuard { done: &shared.done[idx], abort: &shared.abort, clean: false };
-    let result = worker_loop(idx, slots, roster, sup, stride, throttle, shared);
+    let result = worker_loop(idx, slots, roster, sup, throttle, shared);
     guard.clean = result.is_ok();
     drop(guard);
     result
@@ -561,13 +544,12 @@ fn worker_loop(
     slots: &mut BTreeMap<u64, HomeSlot>,
     roster: &Roster<'_>,
     mut sup: Option<&mut ShardSupervisor<'_>>,
-    stride: usize,
     throttle: Duration,
     shared: &WorkerShared,
 ) -> Result<ShardOutput, JarvisError> {
     let ingest = &shared.ingest[idx];
     let run_queue = &shared.tasks[idx];
-    let victims = steal_order(idx, shared.tasks.len(), stride);
+    let victims = steal_order(idx, shared.tasks.len());
     let mut out = ShardOutput::with_capacity(shared.routed[idx], roster.clock);
     let mut window = Window::default();
     let mut done_publishing = false;

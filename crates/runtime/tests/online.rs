@@ -502,7 +502,10 @@ fn fine_tuning_is_invariant_across_pool_sizes() {
     let candidate = want_report.candidate.expect("pooled deltas must stage a candidate");
     assert!(candidate > 0, "the candidate is a fresh version, not the bootstrap");
 
-    for workers in [2usize, 4] {
+    // 0 runs every home inline on the caller; more workers than homes
+    // caps the helpers at one per task.
+    let more_than_homes = fleet.num_homes() as usize + 3;
+    for workers in [0usize, 2, 4, more_than_homes] {
         let (report, cps, store, snap) = fine_tune_run(&f, &fleet, workers);
         assert_eq!(want_report, report, "{workers} workers: report diverged");
         assert_eq!(want_cps, cps, "{workers} workers: tuned checkpoints diverged");

@@ -98,17 +98,14 @@ fn steal_schedule_permutations_do_not_change_outputs() {
     let f = fixture();
     let fleet = FleetGenerator::new(67, 8);
     let (_, want) = oracle(&f, &fleet, 2);
-    // Strides 1, 3 permute the victim order; 2 and 4 don't even cover the
-    // ring (non-coprime with 8) and exercise the fill-in path.
-    for stride in [1usize, 2, 3, 4, 7] {
-        let mut config = RuntimeConfig::new(8);
-        config.steal_stride = stride;
-        config.batch_window = 4;
-        let mut rt = build_runtime(&f, config, fleet.num_homes());
-        let ingest = rt.ingest_fleet_day(&fleet, 2, None, Some(30)).expect("ingest");
-        let report = rt.serve(ingest.envelopes).expect("serve");
-        assert_outcomes_bit_identical(&want, &report.outcomes, &format!("stride {stride}"));
-    }
+    // Eight shards and small windows: many batches, stolen in ring order
+    // at whatever moment a sibling runs idle.
+    let mut config = RuntimeConfig::new(8);
+    config.batch_window = 4;
+    let mut rt = build_runtime(&f, config, fleet.num_homes());
+    let ingest = rt.ingest_fleet_day(&fleet, 2, None, Some(30)).expect("ingest");
+    let report = rt.serve(ingest.envelopes).expect("serve");
+    assert_outcomes_bit_identical(&want, &report.outcomes, "ring steal order");
 }
 
 #[test]
@@ -292,14 +289,6 @@ fn modulo_placement_remains_available_and_equivalent() {
     for id in 0..4u64 {
         assert_eq!(rt.shard_of(id), (id % 2) as usize, "modulo pins id % shards");
     }
-}
-
-#[test]
-fn steal_stride_zero_is_rejected() {
-    let f = fixture();
-    let mut config = RuntimeConfig::new(2);
-    config.steal_stride = 0;
-    assert!(ServingRuntime::new(config, f.policy.clone()).is_err());
 }
 
 /// Deploy the quantized policy on a runtime (gate at `min_agreement`) and

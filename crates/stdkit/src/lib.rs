@@ -12,7 +12,7 @@
 //! | [`propcheck`] | `proptest` | seeded property harness, choice-tape shrinking, `prop_assert*!` macros |
 //! | [`bench`] | `criterion` | warmup+sampling micro-bench runner, `bench_group!`/`bench_main!` |
 //! | [`sync`] | `crossbeam-deque` | lock-free bounded MPMC steal queues |
-//! | [`pool`] | `rayon` (scoped pools) | persistent lazily-started worker pool with `StealQueue` handoff, caller participation, and scoped fork/join |
+//! | [`pool`] | `rayon` (scoped pools) | scoped fork/join over `std::thread::scope`: caller participation, atomic task claiming, lowest-index panic re-raise |
 //! | [`alloc`] | allocation-counting test allocators | `CountingAlloc`, a per-thread counting `GlobalAlloc` over `System` for allocation-budget tests |
 //!
 //! Everything is deterministic by construction: generators are seeded,

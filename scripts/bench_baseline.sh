@@ -2,7 +2,7 @@
 # Record the neural kernel baseline that scripts/verify.sh gates against.
 #
 # Runs the gemm bench (schema v2: scalar and AVX2 GEMM sweep, quantized vs
-# f64 forward at serving batch sizes, worker-pool overhead) at full
+# f64 forward at serving batch sizes, the DQN training step) at full
 # measurement budgets and writes the medians/minima to BENCH_neural.json
 # at the repo root. Re-run (and commit the result) whenever the kernels in
 # crates/neural/src/{gemm,simd,quant}.rs change deliberately; verify.sh

@@ -2,12 +2,13 @@
 # Opt-in dynamic-analysis pass for the hand-rolled concurrency primitives
 # (crates/stdkit/src/sync.rs: the lock-free StealQueue ring under the
 # threaded work-stealing serving runtime; crates/stdkit/src/pool.rs: the
-# persistent worker pool and its scoped fork/join handoff). The `sync` and
-# `pool` test filters pick up the whole battery: FIFO/lap ordering,
-# full/empty boundaries, drop-with-pending leak checks, the seeded
-# router/worker, owner-vs-thieves, and MPMC interleaving stress tests, plus
-# pool reuse, panic containment, nested-join progress, and ring-overflow
-# fallback.
+# scoped fan-out behind per-home fine-tuning, safe code over
+# std::thread::scope and an atomic task counter). The `sync` and `pool`
+# test filters pick up the whole battery: FIFO/lap ordering, full/empty
+# boundaries, drop-with-pending leak checks, the seeded router/worker,
+# owner-vs-thieves, and MPMC interleaving stress tests, plus the pool's
+# exactly-once claiming with more tasks than threads, panic containment
+# and lowest-index payload choice, and nested-call progress.
 #
 # The supervision battery (crates/runtime/tests/supervision.rs: catch_unwind
 # shard boundaries, WAL restore/replay, threaded-vs-deterministic recovery
@@ -22,8 +23,8 @@
 #
 # The continual-learning battery (crates/runtime/tests/online.rs) rides
 # along too: background fine-tuning runs per-home replay passes through the
-# scoped worker pool, and the battery's pool-size-invariance tests are the
-# sharpest probe of that fork/join path under both tools. Sizes scale down
+# scoped worker pool, and the battery's pool-size-invariance tests drive
+# that fan-out at every helper count under both tools. Sizes scale down
 # automatically under Miri (cfg(miri) in the test).
 #
 # Static analysis (jarvis-lint) covers determinism and panic policy, and

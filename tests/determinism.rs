@@ -164,11 +164,11 @@ fn optimizer_checkpoint_resume_is_bit_identical() {
     assert_eq!(straight_cp, resumed_cp, "checkpoint JSON diverged after resume");
 }
 
-/// Fault injection is a pure function of `(seed, plan)`: sweeping
-/// `JARVIS_THREADS` (which sizes `WorkerPool::global()`) must not change a
-/// single byte of the injected stream, the parsed episodes, or the table
-/// learned from them. The sweep runs serially inside one test so the env
-/// mutation cannot race other tests.
+/// Fault injection is a pure function of `(seed, plan)`: the pipeline run
+/// on the test thread and then concurrently on 1, 2 and 4 threads must
+/// produce the same bytes for the injected stream, the parsed episodes and
+/// the table learned from them, so no shared or thread-local state leaks
+/// into any of them.
 #[test]
 fn fault_injection_is_thread_count_invariant() {
     use jarvis_repro::sim::{FaultInjector, FaultKind, FaultPlan, FaultRule};
@@ -199,26 +199,24 @@ fn fault_injection_is_thread_count_invariant() {
         let outcome = learn_safe_transitions(home.fsm(), &eps, None, &SplConfig::default());
         (faulted_json, eps.to_json(), outcome.table.to_json())
     };
-    let mut baseline = None;
-    for threads in ["1", "2", "4"] {
-        std::env::set_var("JARVIS_THREADS", threads);
-        let artifacts = run();
-        match &baseline {
-            None => baseline = Some(artifacts),
-            Some(b) => assert_eq!(b, &artifacts, "injection drifted at JARVIS_THREADS={threads}"),
+    let baseline = run();
+    for threads in [1usize, 2, 4] {
+        let runs: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads).map(|_| s.spawn(run)).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for artifacts in runs {
+            assert_eq!(baseline, artifacts, "injection drifted on {threads} concurrent threads");
         }
     }
-    std::env::remove_var("JARVIS_THREADS");
 }
 
 /// The work-stealing serving runtime is a pure function of its ingested
-/// stream: one fleet day served through {deterministic, threaded} modes and
-/// a `JARVIS_THREADS` sweep (which sizes `WorkerPool::global()`) must end
-/// with byte-identical `RuntimeSnapshot` JSON, bit-identical outcome
-/// streams, and identical rejection accounting. Stolen inference batches
-/// are pure, so neither the steal timing nor the pool size may leak into
-/// any serialized byte. The env sweep runs serially inside one test, like
-/// the injection sweep above.
+/// stream: one fleet day served deterministically and then threaded, three
+/// times over, must end with byte-identical `RuntimeSnapshot` JSON,
+/// bit-identical outcome streams, and identical rejection accounting.
+/// Stolen inference batches are pure, so the steal timing, which differs
+/// from run to run, may not leak into any serialized byte.
 #[test]
 fn work_stealing_serving_is_execution_mode_invariant() {
     use jarvis_repro::policy::SafeTransitionTable;
@@ -255,21 +253,13 @@ fn work_stealing_serving_is_execution_mode_invariant() {
     };
 
     let baseline = run(true);
-    for threads in ["1", "2", "4"] {
-        std::env::set_var("JARVIS_THREADS", threads);
+    assert_eq!(baseline.2, 0, "deterministic mode never sheds");
+    for attempt in 0..3 {
         let threaded = run(false);
-        assert_eq!(
-            baseline.0, threaded.0,
-            "RuntimeSnapshot bytes drifted at JARVIS_THREADS={threads}"
-        );
-        assert_eq!(
-            baseline.1, threaded.1,
-            "outcome stream drifted at JARVIS_THREADS={threads}"
-        );
-        assert_eq!(baseline.2, 0, "deterministic mode never sheds");
+        assert_eq!(baseline.0, threaded.0, "RuntimeSnapshot bytes drifted on threaded run {attempt}");
+        assert_eq!(baseline.1, threaded.1, "outcome stream drifted on threaded run {attempt}");
         assert_eq!(threaded.2, 0, "Block backpressure never sheds");
     }
-    std::env::remove_var("JARVIS_THREADS");
 }
 
 /// The int8 quantized serving path is as deterministic as the f64 one:
