@@ -5,7 +5,7 @@ use jarvis_stdkit::bench::{BatchSize, Bench};
 use jarvis_stdkit::{bench_group, bench_main};
 use jarvis::{DayScenario, HomeRlEnv, RewardWeights, SmartReward};
 use jarvis_policy::TaBehavior;
-use jarvis_rl::{DqnAgent, DqnConfig, Environment, Experience};
+use jarvis_rl::{DqnAgent, DqnConfig, EpsilonSchedule, Environment, Experience};
 use jarvis_sim::HomeDataset;
 use jarvis_smart_home::SmartHome;
 
@@ -50,6 +50,17 @@ fn bench_dqn(c: &mut Bench) {
 
     c.bench_function("dqn/act_epsilon_greedy", |b| {
         let mut agent = mk_agent();
+        let obs = env.observe();
+        let valid = env.valid_actions();
+        b.iter(|| agent.act(std::hint::black_box(&obs), &valid).unwrap())
+    });
+
+    // A fresh agent sits at ε = 1.0, so the row above times the random
+    // branch only; at ε = 0 every call runs the greedy forward.
+    c.bench_function("dqn/act_greedy", |b| {
+        let mut cfg = DqnConfig::new(env.state_dim(), env.num_actions());
+        cfg.schedule = EpsilonSchedule::new(0.0, 0.0, 1.0, f64::INFINITY);
+        let mut agent = DqnAgent::new(cfg).unwrap();
         let obs = env.observe();
         let valid = env.valid_actions();
         b.iter(|| agent.act(std::hint::black_box(&obs), &valid).unwrap())

@@ -3,19 +3,20 @@
 //! Sweeps fleet size × shard count × batching window through
 //! [`jarvis_runtime::ServingRuntime`] and reports events/sec plus decision
 //! latency percentiles. Latency is *per event*: the runtime stamps each
-//! query at router hand-off and each decision when its batch executes, so
-//! p50/p99 measure enqueue → decision (queueing + window residency +
-//! inference) rather than whole-batch residency.
+//! query when its shard first touches it and each decision when its batch
+//! executes, so p50/p99 measure first touch → decision (window residency +
+//! inference) rather than whole-batch residency. Threaded rows run each
+//! shard as one task on the worker pool; there is no ingest queue and no
+//! batch stealing, so no queueing time is counted.
 //!
-//! Headline comparisons (schema v5):
+//! Headline comparisons (schema v6):
 //!
 //! * **Batched speedup** — the same 64-home stream served with
 //!   `batch_window = 1` (single-row inference per query) versus
 //!   `batch_window = 64` (one blocked GEMM pass per window).
 //! * **Tail-latency ratio** — threaded shard-4 p99 over shard-1 p99 at 64
-//!   homes. The work-stealing run queues and adaptive batch windows exist
-//!   to keep this flat; the recorded `p99_ratio_gate` turns it into a
-//!   regression gate.
+//!   homes: more shards than cores must not blow up the tail. The recorded
+//!   `p99_ratio_gate` turns it into a regression gate.
 //! * **Recovery time** — the same stream served through
 //!   [`ServingRuntime::serve_online_supervised`] (no swap plan) with
 //!   seeded panics injected; the
@@ -24,10 +25,10 @@
 //!   outcomes and snapshot bytes must be bitwise equal to the
 //!   uninterrupted oracle.
 //! * **Threaded recovery** — the same chaos plan through
-//!   [`ServingRuntime::serve_online_supervised`] at 4 threaded shards: the
-//!   supervisors guard the work-stealing workers, so crashes recover while
-//!   siblings steal batches. Its outcomes and snapshot bytes must be
-//!   bitwise equal to the uninterrupted oracle, recomputed on every run.
+//!   [`ServingRuntime::serve_online_supervised`] at 4 threaded shards: each
+//!   shard recovers its crashes under its own supervisor while the other
+//!   shards keep serving on the pool. Its outcomes and snapshot bytes must
+//!   be bitwise equal to the uninterrupted oracle, recomputed on every run.
 //! * **Online recovery** (v5) — the same chaos plan with continual
 //!   learning on and two policy swaps, served through
 //!   [`ServingRuntime::serve_online_supervised`]. SPL folds grow the safe
@@ -94,11 +95,6 @@ use jarvis_stdkit::json::{Json, ToJson};
 /// stream (719 queries per home-day) so inference dominates the serve loop.
 const QUERY_EVERY: u32 = 2;
 
-/// Total in-flight event budget, split across the shards' ingest rings so
-/// every shard count queues the same number of events fleet-wide — the
-/// latency comparison is then about scheduling, not buffer depth.
-const TOTAL_QUEUE_BUDGET: usize = 256;
-
 /// Only the shipped batched path is gated on throughput; the single-row
 /// and threaded rows are recorded for the speedup/scaling columns but only
 /// feed the p99-ratio gate.
@@ -135,7 +131,6 @@ fn build_rt(f: &Fixture, homes: u32, shards: usize, batch_window: usize, determi
     let mut config = RuntimeConfig::new(shards);
     config.batch_window = batch_window;
     config.deterministic = deterministic;
-    config.queue_capacity = (TOTAL_QUEUE_BUDGET / shards).max(2);
     // Opt in to decision-latency telemetry: serving itself never reads a
     // clock unless one is injected here.
     config.telemetry = Some(jarvis_stdkit::bench::monotonic_ns);
@@ -196,8 +191,8 @@ struct RecoveryStats {
 /// oracle is `serve_online`. SPL folds then grow the safe tables
 /// between checkpoints, so recovery must restore each dirty home's
 /// pre-fold table from its checkpoint — the copy-on-write path. With
-/// `threaded` set, the chaos run serves 4 shards on the work-stealing
-/// workers (the oracle stays sequential, at the same shard count).
+/// `threaded` set, the chaos run serves 4 shards on the worker pool (the
+/// oracle stays deterministic, at the same shard count).
 fn run_recovery(
     f: &Fixture,
     homes: u32,
@@ -577,7 +572,7 @@ fn to_json(
     let recovery_max = stats.recovery_ns.last().copied().unwrap_or(0);
     let fp_curve = |fp: &[u64]| Json::Arr(fp.iter().map(|&v| Json::Float(v as f64)).collect());
     Json::Obj(vec![
-        ("schema".into(), Json::Str("jarvis-runtime-bench-v5".into())),
+        ("schema".into(), Json::Str("jarvis-runtime-bench-v6".into())),
         ("parallelism".into(), Json::Float(parallelism as f64)),
         ("batched_speedup_64_homes".into(), Json::Float(speedup)),
         (
@@ -595,8 +590,8 @@ fn to_json(
         ("recovery_p50_ns".into(), Json::Float(recovery_p50 as f64)),
         ("recovery_max_ns".into(), Json::Float(recovery_max as f64)),
         ("recovery_deterministic".into(), Json::Bool(stats.deterministic)),
-        // The same chaos plan at 4 threaded shards on the work-stealing
-        // workers, checked bitwise against the uninterrupted oracle.
+        // The same chaos plan at 4 threaded shards on the worker pool,
+        // checked bitwise against the uninterrupted oracle.
         ("recovery_threaded_restarts".into(), Json::Float(threaded.restarts as f64)),
         ("recovery_threaded_deterministic".into(), Json::Bool(threaded.deterministic)),
         // The same chaos plan with online learning on and two policy swaps,
@@ -771,7 +766,7 @@ fn main() {
     results.push(batched);
 
     // The p99-gate pair always runs: threaded 1-shard vs 4-shard serving of
-    // the same 64-home stream under the shared queue budget.
+    // the same 64-home stream.
     for shards in [1usize, 4] {
         let m = run_once(&f, 64, shards, 64, false);
         print_row(&m);
@@ -780,7 +775,7 @@ fn main() {
 
     if !quick {
         // The full scaling sweep: fleet size × shard count under threaded
-        // work-stealing serving with a 64-query window.
+        // serving with a 64-query window.
         for homes in [16u32, 64] {
             for shards in [1usize, 2, 4] {
                 if homes == 64 && (shards == 1 || shards == 4) {

@@ -29,15 +29,6 @@ pub enum JarvisError {
     /// A fault-injection plan is invalid (rate outside `[0, 1]`, zero
     /// magnitude, empty scope).
     Fault(String),
-    /// A serving-runtime ingest queue hit its capacity bound under the
-    /// `Error` overload policy: the producer outran a worker shard and the
-    /// caller asked for hard failure instead of blocking or shedding.
-    Overload {
-        /// The shard whose bounded queue was full.
-        shard: usize,
-        /// The queue's configured capacity.
-        capacity: usize,
-    },
     /// A serving-runtime configuration is invalid (zero shards, duplicate
     /// home registration, observation/action dimensions that do not match
     /// the policy network, or a snapshot for homes that are not registered).
@@ -55,10 +46,6 @@ impl fmt::Display for JarvisError {
             JarvisError::Serde(msg) => write!(f, "serialization error: {msg}"),
             JarvisError::Checkpoint(msg) => write!(f, "checkpoint error: {msg}"),
             JarvisError::Fault(msg) => write!(f, "fault-plan error: {msg}"),
-            JarvisError::Overload { shard, capacity } => write!(
-                f,
-                "runtime overloaded: shard {shard} ingest queue full (capacity {capacity})"
-            ),
             JarvisError::Config(msg) => write!(f, "runtime config error: {msg}"),
         }
     }
@@ -106,10 +93,6 @@ mod tests {
         let fp = JarvisError::Fault("rate 1.5 outside [0, 1]".to_owned());
         assert!(fp.to_string().contains("fault-plan error"));
         assert!(fp.source().is_none());
-        let o = JarvisError::Overload { shard: 3, capacity: 64 };
-        assert!(o.to_string().contains("shard 3"));
-        assert!(o.to_string().contains("capacity 64"));
-        assert!(o.source().is_none());
         let cfg = JarvisError::Config("0 shards".to_owned());
         assert!(cfg.to_string().contains("runtime config error"));
         assert!(cfg.source().is_none());

@@ -150,7 +150,7 @@ fn real_sources_round_trip_and_agree() {
         "crates/lint/src/lexer.rs",
         "crates/lint/src/syntax.rs",
         "crates/lint/src/audit.rs",
-        "crates/stdkit/src/sync.rs",
+        "crates/stdkit/src/alloc.rs",
         "crates/stdkit/src/pool.rs",
         "crates/neural/src/simd.rs",
     ] {

@@ -45,7 +45,7 @@ fn default_options_cover_all_ten_rules() {
 fn audit_rules_visit_the_concurrency_core() {
     use jarvis_lint::rules::in_scope;
     for file in [
-        "crates/stdkit/src/sync.rs",
+        "crates/stdkit/src/alloc.rs",
         "crates/stdkit/src/pool.rs",
         "crates/neural/src/simd.rs",
         "crates/runtime/src/shard.rs",

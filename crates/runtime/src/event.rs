@@ -130,31 +130,3 @@ impl Outcome {
         }
     }
 }
-
-/// What the router does when a shard's bounded ingest ring
-/// (a [`jarvis_stdkit::sync::StealQueue`]) is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OverloadPolicy {
-    /// Block the router until the shard drains — classic backpressure; no
-    /// event is ever lost, throughput degrades instead.
-    Block,
-    /// Shed the event: it is *not* delivered, and a [`Rejection`] naming its
-    /// sequence number is reported. Nothing is dropped silently.
-    Shed,
-    /// Fail the whole `serve` call with
-    /// [`JarvisError::Overload`](jarvis::JarvisError) on the first full
-    /// queue.
-    Error,
-}
-
-/// The explicit record of one shed event — the runtime's guarantee that
-/// backpressure never drops work silently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Rejection {
-    /// The shed event's global sequence number.
-    pub seq: u64,
-    /// The home the event belonged to.
-    pub home: u64,
-    /// The shard whose queue was full.
-    pub shard: usize,
-}

@@ -7,49 +7,41 @@
 //! The runtime ingests per-home event streams ([`ServingRuntime::ingest_day`]
 //! / [`ServingRuntime::ingest_fleet_day`], optionally corrupted by a
 //! [`FaultInjector`](jarvis_sim::FaultInjector) at the ingest boundary),
-//! places homes onto `N` worker shards with deterministic load-aware bin
-//! packing (see [`Placement`]), routes envelopes over lock-free bounded
-//! [`jarvis_stdkit::sync::StealQueue`](jarvis_stdkit::sync::StealQueue)
-//! ingest rings, and answers three kinds of events:
+//! places homes onto `N` shards with deterministic load-aware bin packing
+//! (see [`Placement`]), splits each stream into one sub-stream per shard,
+//! and answers three kinds of events:
 //!
 //! - **Actions** are checked against the home's learned safe-transition
 //!   table (the paper's runtime monitor): safe actions step the home's FSM
 //!   state, violations are blocked and alarmed.
 //! - **Sensor** events step the state unchecked (the environment is never
 //!   "unsafe", only actions are).
-//! - **Queries** are parked in a batching window (closed adaptively the
-//!   moment the shard's ingest ring runs dry) and answered through one
+//! - **Queries** are parked in a batching window and answered through one
 //!   [`DqnAgent::q_values_batch`](jarvis_rl::DqnAgent::q_values_batch)
 //!   matrix pass riding the blocked GEMM kernels, then walked down the Q
-//!   ranking to the best action each home's safe set allows. Closed
-//!   batches are published on per-shard run queues; an idle worker
-//!   *steals* batches from its siblings in a fixed victim order, so one
-//!   hot shard's inference backlog drains across the whole pool.
+//!   ranking to the best action each home's safe set allows.
 //!
 //! **Entry points.** [`ServingRuntime::serve`] serves a stream;
 //! [`ServingRuntime::serve_online`] adds a scheduled policy-swap plan
 //! ([`SwapPoint`]s); [`ServingRuntime::serve_online_supervised`] serves
 //! under WAL-backed supervision with optional chaos injection (pass `&[]`
-//! for no swaps). All three run one serve core over the same shard loops,
-//! and every loop shares one epoch mechanism: a swap takes effect at its
-//! `at_seq` — the batching window closes at the epoch boundary and each
-//! closed batch carries its epoch, so whichever worker executes it answers
-//! under the right policy.
+//! for no swaps). All three run one serve core over one shard executor:
+//! each shard walks its sub-stream in seq order as one task on the
+//! [`WorkerPool`](jarvis_stdkit::pool::WorkerPool) — on the caller's
+//! thread, in shard order, when [`RuntimeConfig::deterministic`] is set.
+//! A swap takes effect at its `at_seq`: the batching window closes at the
+//! epoch boundary, so every batch answers under the right policy.
 //!
 //! **Determinism contract.** The batched forward is bit-identical per row
 //! to a single-row forward, every event of one home is processed in global
-//! sequence order whatever the shard count, and decisions draw no
-//! randomness. Stealing moves only *closed* batches whose observations,
-//! valid-action sets, and action maps were snapshotted at in-order
-//! processing time — pure inference work — so for a fixed ingested stream,
-//! the outcome list (sorted by sequence number) is byte-identical across
-//! shard counts, steal schedules, batching modes, and between
-//! deterministic and threaded-`Block` execution. Backpressure is explicit:
-//! a full queue blocks, sheds with a reported [`Rejection`], or fails with
-//! [`JarvisError::Overload`](jarvis::JarvisError), per [`OverloadPolicy`] —
-//! never a silent drop. Shards snapshot and restore byte-identically via
-//! [`ShardSnapshot`], carrying the fleet policy as a bit-exact
-//! [`DqnCheckpoint`](jarvis_rl::DqnCheckpoint).
+//! sequence order whatever the shard count, decisions draw no randomness,
+//! and a shard's output depends only on its own sub-stream. So for a fixed
+//! ingested stream, the outcome list (sorted by sequence number) is
+//! byte-identical across shard counts, batching modes, and between
+//! deterministic and threaded execution. Every event gets exactly one
+//! outcome — nothing is dropped. Shards snapshot and restore
+//! byte-identically via [`ShardSnapshot`], carrying the fleet policy as a
+//! bit-exact [`DqnCheckpoint`](jarvis_rl::DqnCheckpoint).
 //!
 //! ```no_run
 //! use jarvis_policy::SafeTransitionTable;
@@ -86,7 +78,7 @@ mod slot;
 mod supervisor;
 mod wal;
 
-pub use event::{DecisionSource, Envelope, EventKind, Outcome, OverloadPolicy, Rejection};
+pub use event::{DecisionSource, Envelope, EventKind, Outcome};
 pub use online::{
     AmbientTelemetry, FineTuneConfig, FineTuneReport, OnlineConfig, OnlineLearner,
 };

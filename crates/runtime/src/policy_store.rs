@@ -74,8 +74,8 @@ pub struct SwapPoint {
 
 /// One shadow-scored decision row, emitted by the batched decision path
 /// when a candidate is staged. Rows are aggregated *sorted by seq*, so the
-/// accumulated score is bitwise independent of shard count, steal schedule,
-/// and batch grouping.
+/// accumulated score is bitwise independent of shard count and batch
+/// grouping.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShadowRow {
     /// The decision's global sequence number.

@@ -1,10 +1,10 @@
 //! The serving runtime: home registry, event ingest, sharded serve loop,
 //! and shard snapshot/restore.
 
-use crate::event::{Envelope, EventKind, Outcome, OverloadPolicy, Rejection};
+use crate::event::{Envelope, EventKind, Outcome};
 use crate::online::{FineTuneConfig, FineTuneReport, OnlineConfig};
 use crate::policy_store::{PolicyStore, ShadowGates, ShadowRow, SwapPoint, SwapRecord};
-use crate::shard::{self, Job, PolicyView, Roster, ShardOutput, WorkerShared};
+use crate::shard::{self, PolicyView, Roster, ShardOutput};
 use crate::slot::{HomeSlot, HomeSnapshot};
 use crate::supervisor::{RecoveryReport, ShardSupervisor, SupervisedReport, SupervisorConfig};
 use jarvis::{JarvisError, OptimizerCheckpoint};
@@ -18,10 +18,7 @@ use jarvis_smart_home::SmartHome;
 use jarvis_stdkit::json::{FromJson, ToJson};
 use jarvis_stdkit::json_struct;
 use jarvis_stdkit::pool::{ScopedTask, WorkerPool};
-use jarvis_stdkit::sync::PushError;
 use std::collections::BTreeMap;
-use std::sync::atomic::Ordering;
-use std::time::Duration;
 
 /// How homes are assigned to worker shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,35 +42,18 @@ pub enum Placement {
 /// comparison is address-based and unpredictable.)
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Number of worker shards.
+    /// Number of shards homes are partitioned into.
     pub shards: usize,
-    /// Bound of each shard's lock-free ingest ring (threaded mode only).
-    /// Values below 2 are served with a 2-slot ring — the sequence
-    /// protocol's minimum — while overload errors still report the
-    /// configured value.
-    pub queue_capacity: usize,
     /// Maximum queries parked before a batched forward is forced. 1 =
-    /// per-query single-row inference. In threaded mode a window also
-    /// closes as soon as the shard's ingest ring runs dry, which keeps tail
-    /// latency flat when a shard's share of the stream arrives slower than
-    /// `batch_window` events at a time. Batch boundaries cannot change any
+    /// per-query single-row inference. Batch boundaries cannot change any
     /// decision: they only group pure per-row forwards.
     pub batch_window: usize,
-    /// What the router does when a shard's ingest ring is full (threaded
-    /// mode).
-    pub overload: OverloadPolicy,
-    /// Run shards sequentially on the caller's thread instead of spawning
-    /// workers. Outputs are bit-identical to threaded serving for any shard
-    /// count, steal schedule, or batching mode; queue bounds and throttling
-    /// do not apply.
+    /// Run every shard on the caller's thread, in shard order, instead of
+    /// on the worker pool ([`WorkerPool::global`]). Outputs are
+    /// bit-identical either way, for any shard count or batching mode.
     pub deterministic: bool,
     /// Match mode for safe-transition lookups in the per-home monitors.
     pub match_mode: MatchMode,
-    /// Artificial per-event worker delay in nanoseconds (threaded mode
-    /// only). Zero in production; non-zero values let tests and benchmarks
-    /// make a shard deterministically slower than the router to exercise
-    /// the overload paths.
-    pub worker_throttle_ns: u64,
     /// How homes are placed onto shards. Default: [`Placement::LoadAware`].
     pub placement: Placement,
     /// Injectable telemetry clock for decision latencies (monotonic
@@ -85,19 +65,15 @@ pub struct RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// Defaults: `queue_capacity` 256, `batch_window` 16, blocking
-    /// backpressure, threaded execution, exact-match monitoring,
-    /// load-aware placement.
+    /// Defaults: `batch_window` 16, threaded execution, exact-match
+    /// monitoring, load-aware placement.
     #[must_use]
     pub fn new(shards: usize) -> Self {
         RuntimeConfig {
             shards,
-            queue_capacity: 256,
             batch_window: 16,
-            overload: OverloadPolicy::Block,
             deterministic: false,
             match_mode: MatchMode::Exact,
-            worker_throttle_ns: 0,
             placement: Placement::LoadAware,
             telemetry: None,
         }
@@ -106,9 +82,6 @@ impl RuntimeConfig {
     fn validate(&self) -> Result<(), JarvisError> {
         if self.shards == 0 {
             return Err(JarvisError::Config("shard count must be at least 1".into()));
-        }
-        if self.queue_capacity == 0 {
-            return Err(JarvisError::Config("queue capacity must be at least 1".into()));
         }
         if self.batch_window == 0 {
             return Err(JarvisError::Config("batch window must be at least 1".into()));
@@ -136,11 +109,9 @@ pub struct IngestReport {
 /// The result of one [`ServingRuntime::serve`] call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
-    /// One outcome per delivered event, sorted by global sequence number.
+    /// One outcome per served event, sorted by global sequence number.
     pub outcomes: Vec<Outcome>,
-    /// Every event shed under [`OverloadPolicy::Shed`], in routing order.
-    pub rejected: Vec<Rejection>,
-    /// Per-decision latencies (enqueue → decision: queueing + batch-window
+    /// Per-decision latencies (first touch → decision: batch-window
     /// residency + inference, per event), unordered. Informational: timing
     /// is *not* part of the determinism contract, and this is empty unless
     /// [`RuntimeConfig::telemetry`] injected a clock.
@@ -148,11 +119,11 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Delivered outcomes plus explicit rejections — equals the number of
-    /// events submitted (the no-silent-drop invariant).
+    /// Events accounted for: one outcome each, so this equals the number
+    /// of events submitted (the no-silent-drop invariant).
     #[must_use]
     pub fn total_accounted(&self) -> usize {
-        self.outcomes.len() + self.rejected.len()
+        self.outcomes.len()
     }
 
     /// Number of policy decisions made.
@@ -216,10 +187,9 @@ json_struct!(ShardSnapshot { shard, shards, policy, homes });
 
 /// A sharded multi-home serving runtime over one shared policy agent.
 ///
-/// See DESIGN.md §11 for the base architecture (shard ownership, queue
-/// bounds, the batching window, the determinism contract) and §13 for the
-/// work-stealing run queues, the fixed steal schedule, and load-aware
-/// placement.
+/// See DESIGN.md §11 for the base architecture (shard ownership, the
+/// batching window, the determinism contract) and §13 for the shard
+/// executor and load-aware placement.
 #[derive(Debug)]
 pub struct ServingRuntime {
     config: RuntimeConfig,
@@ -248,8 +218,8 @@ impl ServingRuntime {
     ///
     /// # Errors
     ///
-    /// Returns [`JarvisError::Config`] for a zero shard count, queue
-    /// capacity, or batch window.
+    /// Returns [`JarvisError::Config`] for a zero shard count or batch
+    /// window.
     pub fn new(config: RuntimeConfig, policy: DqnAgent) -> Result<Self, JarvisError> {
         config.validate()?;
         Ok(ServingRuntime {
@@ -668,23 +638,20 @@ impl ServingRuntime {
         IngestReport { envelopes, mapped, queries, unmapped, faults }
     }
 
-    /// Serve a stream of envelopes through the worker shards and report
-    /// one outcome per delivered event, sorted by sequence number.
+    /// Serve a stream of envelopes through the shards and report one
+    /// outcome per event, sorted by sequence number.
     ///
     /// Placement is rebalanced for the stream first (see
-    /// [`RuntimeConfig::placement`]). In deterministic mode the shards run
-    /// sequentially on the caller's thread; in threaded mode each shard
-    /// owns a scoped worker fed through a lock-free bounded ingest ring,
-    /// with the configured [`OverloadPolicy`] deciding what a full ring
-    /// does, and idle workers stealing closed inference batches from
-    /// sibling run queues in a fixed victim order.
+    /// [`RuntimeConfig::placement`]), the stream is split into one
+    /// sub-stream per shard, and each shard serves its sub-stream in seq
+    /// order: on the caller's thread in deterministic mode, otherwise as
+    /// one task on [`WorkerPool::global`].
     ///
     /// # Errors
     ///
-    /// Returns [`JarvisError::Overload`] under [`OverloadPolicy::Error`]
-    /// when a queue fills, [`JarvisError::Config`] for events targeting
-    /// unregistered homes, and model/neural errors from the slots or the
-    /// policy network.
+    /// Returns [`JarvisError::Config`] for events targeting unregistered
+    /// homes, and model/neural errors from the slots or the policy network.
+    /// Every home stays registered.
     pub fn serve(&mut self, events: Vec<Envelope>) -> Result<ServeReport, JarvisError> {
         Ok(self.serve_core(events, &[], None)?.report)
     }
@@ -692,8 +659,8 @@ impl ServingRuntime {
     /// Serve a stream with a scheduled mid-stream policy swap plan:
     /// `swaps[k]` activates its version for every envelope with `seq >=
     /// at_seq` (see [`SwapPoint`]). The stream is served in seq order, in
-    /// one call over the same shard loops as [`ServingRuntime::serve`]:
-    /// each swap takes effect at its `at_seq` inside every loop, and a
+    /// one call over the same shard executor as [`ServingRuntime::serve`]:
+    /// each swap takes effect at its `at_seq` inside every shard, and a
     /// batching window never spans a swap. After the call every scheduled
     /// swap is recorded in the store — even when the stream ends early, the
     /// plan is a commitment, not a hint — and the last swap's version is
@@ -701,7 +668,7 @@ impl ServingRuntime {
     ///
     /// The swap schedule is part of the determinism contract: the same
     /// `(stream, swaps)` pair reproduces outcomes bitwise across shard
-    /// counts, steal schedules, and serving modes.
+    /// counts and serving modes.
     ///
     /// # Errors
     ///
@@ -734,19 +701,15 @@ impl ServingRuntime {
     /// Recovery is deterministic: with a transient chaos plan (attempt
     /// counts below the quarantine threshold) the supervised run's
     /// outcomes, snapshot bytes, and rejection/quarantine accounting are
-    /// bitwise identical to an uninterrupted [`ServingRuntime::serve_online`]
-    /// in deterministic mode. Poison pills and exhausted restart budgets
-    /// degrade to safe-table-only serving
+    /// bitwise identical to an uninterrupted [`ServingRuntime::serve_online`].
+    /// Poison pills and exhausted restart budgets degrade to
+    /// safe-table-only serving
     /// ([`DecisionSource::SafeTableFallback`](crate::DecisionSource)) —
     /// enforcement never lapses.
     ///
-    /// Supervision runs over the same shard loops as
-    /// [`ServingRuntime::serve`]: sequentially on the caller's thread in
-    /// deterministic mode, otherwise on the work-stealing workers with
-    /// their bounded ingest rings, overload policy and stealing. Under
-    /// [`OverloadPolicy::Block`] both modes are bitwise identical,
-    /// accounting and WALs included; under [`OverloadPolicy::Shed`] a shed
-    /// event is reported in `rejected` and never reaches a shard or its WAL.
+    /// Supervision runs over the same shard executor as
+    /// [`ServingRuntime::serve`], and deterministic and threaded serving
+    /// are bitwise identical, accounting and WALs included.
     ///
     /// # Errors
     ///
@@ -766,8 +729,7 @@ impl ServingRuntime {
 
     /// The one serve core under every entry point: validate the swap plan,
     /// rebalance placement, build the epoch roster, partition homes by
-    /// shard, run one shard executor — the sequential loop or the
-    /// work-stealing workers, each shard under its supervisor when
+    /// shard, run the shard executor — each shard under its supervisor when
     /// supervised — reassemble the homes on every exit path, merge the
     /// outcomes by seq and the supervisors' accounting and WALs by shard,
     /// fold the shadow score, and commit the swap plan.
@@ -825,18 +787,15 @@ impl ServingRuntime {
                 .collect(),
             None => Vec::new(),
         };
-        let served = if self.config.deterministic {
-            run_sequential(&mut parts, &roster, events, &route, &mut supervisors)
-        } else {
-            run_stealing(&mut parts, &roster, events, &route, &self.config, &mut supervisors)
-        };
+        let pool = if self.config.deterministic { &INLINE } else { WorkerPool::global() };
+        let served = run_shards(pool, &mut parts, &roster, events, &route, &mut supervisors);
         // Reassemble home ownership before surfacing any error, so the
-        // runtime stays usable after a failed serve or an overload abort.
+        // runtime stays usable after a failed serve.
         for mut part in parts {
             self.homes.append(&mut part);
         }
 
-        let (outputs, rejected) = served?;
+        let outputs = served?;
         let mut recovery = RecoveryReport::default();
         let mut wals = Vec::with_capacity(supervisors.len());
         for supervisor in supervisors {
@@ -856,7 +815,7 @@ impl ServingRuntime {
         self.absorb_shadow(shadow_rows);
         self.commit_swaps(swaps, swapped_in)?;
         Ok(SupervisedReport {
-            report: ServeReport { outcomes, rejected, latencies_ns },
+            report: ServeReport { outcomes, latencies_ns },
             recovery,
             wals,
         })
@@ -874,8 +833,8 @@ impl ServingRuntime {
     }
 
     /// Fold shadow rows into the staged candidate's score, sorted by seq so
-    /// the floating-point accumulation is independent of shard count, steal
-    /// schedule, and batch grouping.
+    /// the floating-point accumulation is independent of shard count and
+    /// batch grouping.
     fn absorb_shadow(&mut self, mut rows: Vec<ShadowRow>) {
         if rows.is_empty() {
             return;
@@ -1181,9 +1140,9 @@ impl ServingRuntime {
     }
 }
 
-/// What a shard executor produced: one output per shard, in shard order,
-/// plus the router's rejections (none for the sequential executor).
-type Served = (Vec<ShardOutput>, Vec<Rejection>);
+/// Deterministic mode's pool: no helper threads, so every shard runs on the
+/// caller's thread, in shard order.
+static INLINE: WorkerPool = WorkerPool::with_workers(0);
 
 /// Events routed to each of `shards` shards.
 fn routed_counts(route: &[usize], shards: usize) -> Vec<usize> {
@@ -1194,114 +1153,42 @@ fn routed_counts(route: &[usize], shards: usize) -> Vec<usize> {
     counts
 }
 
-/// Sequential execution on the caller's thread: each shard's stream through
-/// the sequential loop, no queue bounds — the bit-exact reference for any
-/// shard count and any steal schedule.
-fn run_sequential(
+/// The shard executor: split the stream into one sub-stream per shard,
+/// then serve each through [`shard::process_sequential`] as one `pool`
+/// task, under the shard's supervisor when it has one. A shard's output
+/// depends only on its own sub-stream, so which thread runs it, and when,
+/// never changes a byte. Every shard runs even when another fails, and the
+/// lowest-index shard's error is returned. A panic in an unsupervised
+/// shard is re-raised on the caller once every shard has run; supervised
+/// shards recover their own (DESIGN.md §15).
+fn run_shards(
+    pool: &WorkerPool,
     parts: &mut [BTreeMap<u64, HomeSlot>],
     roster: &Roster<'_>,
     events: Vec<Envelope>,
     route: &[usize],
     supervisors: &mut [ShardSupervisor<'_>],
-) -> Result<Served, JarvisError> {
+) -> Result<Vec<ShardOutput>, JarvisError> {
     let mut streams: Vec<Vec<Envelope>> =
         routed_counts(route, parts.len()).into_iter().map(Vec::with_capacity).collect();
     for (env, &shard) in events.into_iter().zip(route) {
         streams[shard].push(env);
     }
-    let mut supervisors = supervisors.iter_mut();
-    let outputs = parts
-        .iter_mut()
-        .zip(streams)
-        .map(|(part, stream)| shard::process_sequential(part, roster, supervisors.next(), stream))
-        .collect::<Result<_, _>>()?;
-    Ok((outputs, Vec::new()))
-}
-
-/// Threaded work-stealing execution: one scoped worker per shard behind a
-/// lock-free bounded ingest ring; the router feeds the stream in order and
-/// applies the overload policy; closed inference batches are published on
-/// per-shard run queues that idle siblings steal from in a fixed victim
-/// order.
-fn run_stealing(
-    parts: &mut [BTreeMap<u64, HomeSlot>],
-    roster: &Roster<'_>,
-    events: Vec<Envelope>,
-    route: &[usize],
-    config: &RuntimeConfig,
-    supervisors: &mut [ShardSupervisor<'_>],
-) -> Result<Served, JarvisError> {
-    let throttle = Duration::from_nanos(config.worker_throttle_ns);
-    let capacity = config.queue_capacity;
-    let shared = WorkerShared::new(routed_counts(route, parts.len()), capacity);
-    let mut rejected = Vec::new();
-    let mut overload_err: Option<JarvisError> = None;
-    let mut results: Vec<Result<ShardOutput, JarvisError>> = Vec::with_capacity(parts.len());
-
-    std::thread::scope(|s| {
-        let shared = &shared;
-        let mut handles = Vec::with_capacity(parts.len());
+    let mut served: Vec<Option<Result<ShardOutput, JarvisError>>> =
+        parts.iter().map(|_| None).collect();
+    {
         let mut supervisors = supervisors.iter_mut();
-        for (idx, part) in parts.iter_mut().enumerate() {
+        let mut tasks: Vec<ScopedTask<'_>> = Vec::with_capacity(parts.len());
+        for ((out, part), stream) in served.iter_mut().zip(parts).zip(&streams) {
             let sup = supervisors.next();
-            handles.push(s.spawn(move || {
-                shard::run_worker(idx, part, roster, sup, throttle, shared)
+            tasks.push(Box::new(move || {
+                *out = Some(shard::process_sequential(part, roster, sup, stream));
             }));
         }
-        'route: for (env, &shard_idx) in events.into_iter().zip(route) {
-            // The enqueue stamp is taken at router hand-off, so reported
-            // latency covers queueing + window residency + inference —
-            // and, under Block backpressure, the blocking wait itself.
-            let mut job = Job { env, enqueued: roster.clock.map(|now| now()) };
-            match config.overload {
-                OverloadPolicy::Block => loop {
-                    match shared.ingest[shard_idx].try_push(job) {
-                        Ok(()) => break,
-                        Err(PushError::Full(back)) => {
-                            job = back;
-                            // A shard that stopped consuming mid-route
-                            // died: its error surfaces from the join.
-                            if shared.done[shard_idx].load(Ordering::Acquire)
-                                || shared.abort.load(Ordering::Acquire)
-                            {
-                                break 'route;
-                            }
-                            std::thread::yield_now();
-                        }
-                    }
-                },
-                OverloadPolicy::Shed => {
-                    if let Err(PushError::Full(back)) = shared.ingest[shard_idx].try_push(job) {
-                        rejected.push(Rejection {
-                            seq: back.env.seq,
-                            home: back.env.home,
-                            shard: shard_idx,
-                        });
-                    }
-                }
-                OverloadPolicy::Error => {
-                    if let Err(PushError::Full(_)) = shared.ingest[shard_idx].try_push(job) {
-                        overload_err = Some(JarvisError::Overload { shard: shard_idx, capacity });
-                        break 'route;
-                    }
-                }
-            }
-        }
-        for ring in &shared.ingest {
-            ring.close();
-        }
-        for handle in handles {
-            results.push(handle.join().unwrap_or_else(|_| {
-                Err(JarvisError::Config("a worker shard panicked".into()))
-            }));
-        }
-    });
-
-    if let Some(err) = overload_err {
-        return Err(err);
+        pool.run_scoped(tasks);
     }
-    let outputs = results.into_iter().collect::<Result<_, _>>()?;
-    Ok((outputs, rejected))
+    // invariant: run_scoped returns only after every task executed
+    served.into_iter().map(|out| out.expect("the pool runs every task")).collect()
 }
 
 /// Replay one home's drained delta into its optimizer checkpoint. Pure:

@@ -1,39 +1,28 @@
-//! The worker-shard event loop: monitor checks, sensor application, and the
-//! work-stealing batched decision path.
+//! The shard event loop: monitor checks, sensor application, and the
+//! batched decision path.
 //!
-//! Two execution flavours share one event-application core and one epoch
-//! mechanism:
+//! [`process_sequential`] walks one shard's stream in seq order on one
+//! thread: actions and sensor events apply inline, queries park in a
+//! batching window, and the window closes into one batched forward whenever
+//! it fills, whenever a query's policy epoch differs from the one its batch
+//! was parked under, and at the end of the stream. The runtime's shard
+//! executor runs it once per shard, on the caller's thread or on the worker
+//! pool; a shard's output depends only on its own stream, so where it runs
+//! never changes a byte.
 //!
-//! - [`process_sequential`] — the deterministic reference: one thread walks
-//!   one shard's stream, closing a decision batch whenever the window fills.
-//! - [`run_worker`] — the threaded work-stealing loop: each worker drains
-//!   its own lock-free ingest ring, parks queries in a batching window,
-//!   publishes closed batches as [`InferenceTask`]s on its own run queue,
-//!   and — when its own queues are dry — *steals* batches from sibling
-//!   shards in a fixed victim order.
+//! With supervision, a shard's [`ShardSupervisor`] guards each envelope in
+//! place of [`apply_event`] (WAL, panic boundary, recovery), and batch
+//! execution stays outside it.
 //!
-//! Both loops run with or without supervision: a shard's
-//! [`ShardSupervisor`] guards each envelope in place of [`apply_event`]
-//! (WAL, panic boundary, recovery), and batch execution stays outside it.
-//!
-//! Both loops read the serve call's [`Roster`]: a scheduled policy swap
-//! takes effect at its `at_seq` inside every loop, because the window
-//! closes whenever a query's epoch differs from the one its batch was
-//! parked under, and every task carries its epoch — a batch never spans a
-//! swap, whoever executes it.
-//!
-//! Stealing cannot change any decision: a batch snapshots every query's
-//! observation, valid-action mask, and flat→mini action map at in-order
-//! processing time, and the batched forward is bit-identical per row to a
-//! single-row forward, so an [`InferenceTask`] is a pure function of its
-//! epoch's policy — whichever worker runs it, whenever, produces the same
-//! bytes.
+//! The loop reads the serve call's [`Roster`]: a scheduled policy swap takes
+//! effect at its `at_seq`, because the window closes at the epoch boundary
+//! and a batch always executes under the epoch it was parked in.
 //!
 //! The decision path allocates nothing per query or per decision: a query
 //! encodes straight into its batch's row-major observation buffer and
 //! copies its home's memoized valid-action bitmask beside it, the forward
-//! reads the buffer as one matrix, and an executed batch hands its emptied
-//! buffers back to the window for the next batch.
+//! reads the buffer as one matrix, and an executed batch keeps its emptied
+//! buffers for the next one.
 
 use crate::event::{DecisionSource, Envelope, EventKind, Outcome};
 use crate::policy_store::{ShadowRow, SwapPoint};
@@ -44,16 +33,8 @@ use jarvis_iot_model::MiniAction;
 use jarvis_neural::{Matrix, NeuralError};
 use jarvis_rl::policy::{self, argmax_mask, mask_contains};
 use jarvis_rl::{DqnAgent, QuantizedPolicy};
-use jarvis_stdkit::sync::{PushError, StealQueue};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Bound on queued-but-unexecuted inference batches per shard. When the run
-/// queue is full the owner executes the batch inline instead — lossless,
-/// just momentarily unstealable.
-const TASK_QUEUE_CAPACITY: usize = 32;
 
 /// The policies one batch executes against: the active agent, its optional
 /// quantized deployment, and an optional shadow candidate scored alongside
@@ -74,9 +55,8 @@ pub(crate) struct PolicyView<'a> {
 /// `views[0]` serves until `swaps[0].at_seq`, `views[k]` from
 /// `swaps[k-1].at_seq` to `swaps[k].at_seq`, and so on (`views.len() ==
 /// swaps.len() + 1`). The epoch of an envelope is a pure function of its
-/// seq, so every loop — sequential, stealing, or a recovery replay —
-/// serves each envelope under the same policy whatever the shard count,
-/// steal schedule, or crash history.
+/// seq, so every shard — and every recovery replay — serves each envelope
+/// under the same policy whatever the shard count or crash history.
 pub(crate) struct Roster<'a> {
     /// Per-epoch policy views, in timeline order.
     pub views: Vec<PolicyView<'a>>,
@@ -99,23 +79,20 @@ impl<'a> Roster<'a> {
     }
 }
 
-/// What one shard's worker produced: outcomes for the events it applied
-/// plus the decisions of every batch it executed (its own and stolen).
+/// What one shard produced: an outcome for every event of its stream.
 #[derive(Debug, Default)]
 pub(crate) struct ShardOutput {
-    /// Outcomes in this worker's processing order (globally re-sorted by
+    /// Outcomes in this shard's processing order (globally re-sorted by
     /// the runtime before reporting).
     pub outcomes: Vec<Outcome>,
-    /// Nanoseconds from each query's enqueue (router hand-off in threaded
-    /// mode, first touch in deterministic mode) to its decision — true
-    /// per-event latency including queueing, window residency, and
-    /// inference. Empty unless the caller injected a telemetry clock
-    /// ([`crate::RuntimeConfig::telemetry`]); the deterministic path makes
+    /// Nanoseconds from each query's first touch to its decision — window
+    /// residency plus inference. Empty unless the caller injected a
+    /// telemetry clock ([`crate::RuntimeConfig::telemetry`]); serving makes
     /// zero clock calls otherwise (lint rule R2).
     pub latencies_ns: Vec<u64>,
     /// Per-decision shadow-evaluation rows, when a candidate is staged.
     /// Aggregated sorted by seq, so the accumulated score is independent of
-    /// shard count, steal schedule, and batch grouping.
+    /// shard count and batch grouping.
     pub shadow: Vec<ShadowRow>,
 }
 
@@ -132,34 +109,27 @@ impl ShardOutput {
     }
 }
 
-/// One routed event plus its telemetry enqueue stamp (`None` when no clock
-/// is injected).
-pub(crate) struct Job {
-    pub env: Envelope,
-    pub enqueued: Option<u64>,
-}
-
 /// A query parked in the batching window. Its observation and valid-action
 /// mask are its row of the batch's flat buffers.
 struct Pending {
     seq: u64,
     home: u64,
-    /// The home's flat-index → mini-action map (shared, immutable), so a
-    /// thief can materialize the decision without touching the slot.
+    /// The home's flat-index → mini-action map (shared, immutable), so the
+    /// batch materializes the decision without touching the slot.
     actions: Arc<Vec<MiniAction>>,
-    /// Telemetry-clock reading at enqueue time; `None` without a clock.
-    enqueued: Option<u64>,
+    /// Telemetry-clock reading at first touch; `None` without a clock.
+    touched: Option<u64>,
 }
 
 /// The rows of one batch: each parked query's metadata, observation and
-/// valid-action mask, snapshotted at in-order processing time so neither
-/// later events nor the executing worker can change the answer.
+/// valid-action mask, snapshotted at in-order processing time so later
+/// events cannot change the answer.
 /// Observations form one row-major `len × cols` buffer that the forward
 /// reads as a matrix; masks are `len × words` words. The buffers outlive
-/// the batch: an executed batch is handed back emptied, capacity intact,
-/// for the next window to fill.
+/// the batch: executing it empties them, capacity intact, for the next
+/// window to fill.
 #[derive(Default)]
-pub(crate) struct Batch {
+struct Batch {
     entries: Vec<Pending>,
     obs: Vec<f64>,
     cols: usize,
@@ -197,29 +167,15 @@ impl Batch {
     }
 }
 
-/// A closed batch plus the policy epoch its queries were parked under:
-/// self-contained inference work executable by any worker with
-/// bitwise-identical results.
-pub(crate) struct InferenceTask {
-    batch: Batch,
-    epoch: usize,
-}
-
 /// The batching window: queries parked for one batched forward, all under
 /// the policy epoch they were parked in.
 #[derive(Default)]
 pub(crate) struct Window {
     batch: Batch,
     epoch: usize,
-    /// An executed batch's emptied buffers, filled by the next close.
-    spare: Option<Batch>,
 }
 
 impl Window {
-    fn is_empty(&self) -> bool {
-        self.batch.entries.is_empty()
-    }
-
     fn is_full(&self, batch_window: usize) -> bool {
         self.batch.entries.len() >= batch_window
     }
@@ -234,87 +190,33 @@ impl Window {
         self.batch.truncate(len);
     }
 
-    /// Move the window to `epoch`, handing back the batch parked under a
+    /// Move the window to `epoch`, first answering the batch parked under a
     /// different epoch, if any — a batch never spans a swap.
-    fn enter(&mut self, epoch: usize) -> Option<InferenceTask> {
-        let closed = if epoch == self.epoch { None } else { self.close() };
-        self.epoch = epoch;
-        closed
-    }
-
-    /// Close the window: its parked queries as one task, `None` when empty.
-    /// The window parks the next queries in its spare buffers, if it has
-    /// some.
-    fn close(&mut self) -> Option<InferenceTask> {
-        if self.is_empty() {
-            return None;
-        }
-        let batch = std::mem::replace(&mut self.batch, self.spare.take().unwrap_or_default());
-        Some(InferenceTask { batch, epoch: self.epoch })
-    }
-
-    /// Execute `task` and keep its emptied buffers for the next close.
-    fn run(
+    fn enter(
         &mut self,
-        task: InferenceTask,
+        epoch: usize,
         roster: &Roster<'_>,
         out: &mut ShardOutput,
     ) -> Result<(), JarvisError> {
-        self.spare = Some(run_batch(task, roster, out)?);
+        if epoch != self.epoch {
+            self.flush(roster, out)?;
+            self.epoch = epoch;
+        }
         Ok(())
     }
 
-    /// Close the window and answer its queries inline, under the epoch
-    /// they were parked in.
+    /// Answer the parked queries with one batched forward under the epoch
+    /// they were parked in; the window keeps the emptied buffers.
     pub(crate) fn flush(
         &mut self,
         roster: &Roster<'_>,
         out: &mut ShardOutput,
     ) -> Result<(), JarvisError> {
-        match self.close() {
-            Some(task) => self.run(task, roster, out),
-            None => Ok(()),
+        if self.batch.entries.is_empty() {
+            return Ok(());
         }
+        run_batch(&mut self.batch, roster.view(self.epoch), roster.clock, out)
     }
-}
-
-/// Everything the worker threads share: per-shard ingest rings, per-shard
-/// run queues of closed batches, per-shard done-publishing flags, per-shard
-/// routed event counts (each worker's output capacity), and the abort
-/// latch that fails the whole serve call fast.
-pub(crate) struct WorkerShared {
-    pub ingest: Vec<StealQueue<Job>>,
-    pub tasks: Vec<StealQueue<InferenceTask>>,
-    pub done: Vec<AtomicBool>,
-    pub routed: Vec<usize>,
-    pub abort: AtomicBool,
-}
-
-impl WorkerShared {
-    /// Queues for `routed.len()` shards, shard `i` receiving `routed[i]`
-    /// events.
-    pub(crate) fn new(routed: Vec<usize>, ingest_capacity: usize) -> Self {
-        let shards = routed.len();
-        // The lock-free ring needs at least two slots (see
-        // `StealQueue::new`); a configured capacity of 1 still gets honest
-        // backpressure, just one event later.
-        let ingest_capacity = ingest_capacity.max(2);
-        WorkerShared {
-            ingest: (0..shards).map(|_| StealQueue::new(ingest_capacity)).collect(),
-            tasks: (0..shards).map(|_| StealQueue::new(TASK_QUEUE_CAPACITY)).collect(),
-            done: (0..shards).map(|_| AtomicBool::new(false)).collect(),
-            routed,
-            abort: AtomicBool::new(false),
-        }
-    }
-}
-
-/// The fixed victim order for shard `idx` among `shards` shards: ring
-/// order `idx + 1`, `idx + 2`, … (mod `shards`). Deriving the order from
-/// the shard id keeps every run's steal *schedule* reproducible; the steal
-/// *timing* does not matter because stolen batches are pure.
-pub(crate) fn steal_order(idx: usize, shards: usize) -> Vec<usize> {
-    (1..shards).map(|k| (idx + k) % shards).collect()
 }
 
 /// Apply one event to its slot: actions are monitor-checked, sensors step
@@ -325,13 +227,12 @@ pub(crate) fn steal_order(idx: usize, shards: usize) -> Vec<usize> {
 /// anomalous traffic never feeds the SPL delta or the replay delta.
 pub(crate) fn apply_event(
     slots: &mut BTreeMap<u64, HomeSlot>,
-    job: Job,
+    env: &Envelope,
     clock: Option<fn() -> u64>,
     learn: bool,
     window: &mut Window,
     out: &mut ShardOutput,
 ) -> Result<(), JarvisError> {
-    let env = job.env;
     let slot = slots.get_mut(&env.home).ok_or_else(|| {
         JarvisError::Config(format!("event {} targets unregistered home {}", env.seq, env.home))
     })?;
@@ -353,9 +254,7 @@ pub(crate) fn apply_event(
                 seq: env.seq,
                 home: env.home,
                 actions: slot.actions(),
-                // Deterministic mode stamps at first touch (enqueue ==
-                // dequeue there); threaded mode keeps the router's stamp.
-                enqueued: job.enqueued.or_else(|| clock.map(|now| now())),
+                touched: clock.map(|now| now()),
             };
             let (obs, mask) = window.batch.push(pending, slot.obs_dim(), slot.mask_words())?;
             slot.encode_into(env.minute, indoor_c, outdoor_c, price_per_kwh, obs);
@@ -365,13 +264,13 @@ pub(crate) fn apply_event(
     Ok(())
 }
 
-/// Execute one closed batch under its epoch's policy view: a single batched
+/// Execute one batch under its epoch's policy view: a single batched
 /// forward over the batch's observation matrix, then per row the paper's
 /// `Max(Q, c)` — the best action the home's safe set allows — in one pass
 /// over the row's valid-action mask: the masked argmax (highest Q, lowest
 /// index on ties, [`jarvis_rl::policy::argmax`]'s rule), reported with its
-/// rank `c` in the row's full descending-Q ranking. Hands the batch's
-/// buffers back emptied.
+/// rank `c` in the row's full descending-Q ranking. Leaves the batch's
+/// buffers empty.
 ///
 /// When the view carries a deployed [`QuantizedPolicy`], the batched forward
 /// runs through its int8 fixed-point network instead of the f64 agent —
@@ -380,13 +279,11 @@ pub(crate) fn apply_event(
 /// groupings (i32 accumulation), so the serving determinism contract is
 /// unchanged.
 fn run_batch(
-    task: InferenceTask,
-    roster: &Roster<'_>,
+    batch: &mut Batch,
+    view: PolicyView<'_>,
+    clock: Option<fn() -> u64>,
     out: &mut ShardOutput,
-) -> Result<Batch, JarvisError> {
-    let InferenceTask { mut batch, epoch } = task;
-    let view = roster.view(epoch);
-    let clock = roster.clock;
+) -> Result<(), JarvisError> {
     let obs = Matrix::from_vec(batch.entries.len(), batch.cols, std::mem::take(&mut batch.obs))?;
     let q = match view.quantized {
         Some(qp) => qp.q_values_matrix(&obs),
@@ -420,12 +317,12 @@ fn run_batch(
             rank,
             source: DecisionSource::Policy,
         });
-        if let (Some(now), Some(t0)) = (clock, p.enqueued) {
+        if let (Some(now), Some(t0)) = (clock, p.touched) {
             out.latencies_ns.push(now().saturating_sub(t0));
         }
     }
     batch.truncate(0);
-    Ok(batch)
+    Ok(())
 }
 
 /// Score one shadow decision: the candidate's constrained choice under the
@@ -448,177 +345,40 @@ fn score_shadow(
     ShadowRow { seq, agree: shadow_flat == active_flat, parity_ok, regret }
 }
 
-/// Publish a closed batch on this shard's run queue so an idle sibling can
-/// steal it, or — when the run queue is full — execute it inline right now.
-fn publish(
-    run_queue: &StealQueue<InferenceTask>,
-    task: Option<InferenceTask>,
-    roster: &Roster<'_>,
-    window: &mut Window,
-    out: &mut ShardOutput,
-) -> Result<(), JarvisError> {
-    match task.map(|task| run_queue.try_push(task)) {
-        Some(Err(PushError::Full(task))) => window.run(task, roster, out),
-        _ => Ok(()),
-    }
-}
-
 /// Apply one event, under the shard's supervisor when it has one.
 fn step(
     slots: &mut BTreeMap<u64, HomeSlot>,
-    job: Job,
+    env: &Envelope,
     roster: &Roster<'_>,
     sup: Option<&mut ShardSupervisor<'_>>,
     window: &mut Window,
     out: &mut ShardOutput,
 ) -> Result<(), JarvisError> {
     match sup {
-        Some(sup) => sup.guard(slots, job, roster, window, out),
-        None => apply_event(slots, job, roster.clock, true, window, out),
+        Some(sup) => sup.guard(slots, env, roster, window, out),
+        None => apply_event(slots, env, roster.clock, true, window, out),
     }
 }
 
-/// Drive `events` through one shard sequentially, in order — the bit-exact
-/// deterministic reference for any shard count and any steal schedule. The
-/// window is closed on every epoch change, whenever it fills, and at the
-/// end of the stream (a supervisor also closes it at its checkpoints and
+/// Drive `events` through one shard sequentially, in seq order. The window
+/// is closed on every epoch change, whenever it fills, and at the end of
+/// the stream (a supervisor also closes it at its checkpoints and
 /// recoveries).
 pub(crate) fn process_sequential(
     slots: &mut BTreeMap<u64, HomeSlot>,
     roster: &Roster<'_>,
     mut sup: Option<&mut ShardSupervisor<'_>>,
-    events: Vec<Envelope>,
+    events: &[Envelope],
 ) -> Result<ShardOutput, JarvisError> {
     let mut out = ShardOutput::with_capacity(events.len(), roster.clock);
     let mut window = Window::default();
     for env in events {
-        if let Some(task) = window.enter(roster.epoch_of(env.seq)) {
-            window.run(task, roster, &mut out)?;
-        }
-        let job = Job { env, enqueued: None };
-        step(slots, job, roster, sup.as_deref_mut(), &mut window, &mut out)?;
+        window.enter(roster.epoch_of(env.seq), roster, &mut out)?;
+        step(slots, env, roster, sup.as_deref_mut(), &mut window, &mut out)?;
         if window.is_full(roster.batch_window) {
             window.flush(roster, &mut out)?;
         }
     }
     window.flush(roster, &mut out)?;
-    Ok(out)
-}
-
-/// Marks this shard done-publishing on every exit path — including panics
-/// and error returns — and trips the abort latch on the unclean ones, so
-/// neither the router nor sibling workers can wait forever on a dead shard.
-struct ExitGuard<'a> {
-    done: &'a AtomicBool,
-    abort: &'a AtomicBool,
-    clean: bool,
-}
-
-impl Drop for ExitGuard<'_> {
-    fn drop(&mut self) {
-        if !self.clean {
-            self.abort.store(true, Ordering::Release);
-        }
-        self.done.store(true, Ordering::Release);
-    }
-}
-
-/// The threaded work-stealing worker loop for shard `idx`.
-pub(crate) fn run_worker(
-    idx: usize,
-    slots: &mut BTreeMap<u64, HomeSlot>,
-    roster: &Roster<'_>,
-    sup: Option<&mut ShardSupervisor<'_>>,
-    throttle: Duration,
-    shared: &WorkerShared,
-) -> Result<ShardOutput, JarvisError> {
-    let mut guard = ExitGuard { done: &shared.done[idx], abort: &shared.abort, clean: false };
-    let result = worker_loop(idx, slots, roster, sup, throttle, shared);
-    guard.clean = result.is_ok();
-    drop(guard);
-    result
-}
-
-fn worker_loop(
-    idx: usize,
-    slots: &mut BTreeMap<u64, HomeSlot>,
-    roster: &Roster<'_>,
-    mut sup: Option<&mut ShardSupervisor<'_>>,
-    throttle: Duration,
-    shared: &WorkerShared,
-) -> Result<ShardOutput, JarvisError> {
-    let ingest = &shared.ingest[idx];
-    let run_queue = &shared.tasks[idx];
-    let victims = steal_order(idx, shared.tasks.len());
-    let mut out = ShardOutput::with_capacity(shared.routed[idx], roster.clock);
-    let mut window = Window::default();
-    let mut done_publishing = false;
-
-    loop {
-        let mut progress = false;
-
-        // 1. Drain the ingest ring: monitor/sensor work applies inline,
-        //    queries snapshot into the batching window, which closes on an
-        //    epoch change and when it fills.
-        while let Some(job) = ingest.pop() {
-            progress = true;
-            if !throttle.is_zero() {
-                std::thread::sleep(throttle);
-            }
-            let closed = window.enter(roster.epoch_of(job.env.seq));
-            publish(run_queue, closed, roster, &mut window, &mut out)?;
-            step(slots, job, roster, sup.as_deref_mut(), &mut window, &mut out)?;
-            if window.is_full(roster.batch_window) {
-                let closed = window.close();
-                publish(run_queue, closed, roster, &mut window, &mut out)?;
-            }
-        }
-
-        // 2. Adaptive close: the ring ran dry with queries parked — answer
-        //    them now instead of letting them age until the window fills.
-        if !window.is_empty() {
-            let closed = window.close();
-            publish(run_queue, closed, roster, &mut window, &mut out)?;
-            progress = true;
-        }
-
-        // 3. End of stream (the window is empty after step 2): announce
-        //    that this shard will never publish another task.
-        if !done_publishing && ingest.is_drained() {
-            shared.done[idx].store(true, Ordering::Release);
-            done_publishing = true;
-        }
-
-        // 4. Execute own batches first (freshest cache), then steal from
-        //    the fixed victim schedule.
-        if let Some(task) = run_queue.pop() {
-            window.run(task, roster, &mut out)?;
-            continue;
-        }
-        for &victim in &victims {
-            if let Some(task) = shared.tasks[victim].pop() {
-                window.run(task, roster, &mut out)?;
-                progress = true;
-                break;
-            }
-        }
-        if progress {
-            continue;
-        }
-
-        // 5. Nothing anywhere: abort fast if a sibling failed, terminate
-        //    when every shard is done publishing and every run queue is
-        //    empty, otherwise yield and look again.
-        if shared.abort.load(Ordering::Acquire) {
-            break;
-        }
-        if done_publishing
-            && shared.done.iter().all(|d| d.load(Ordering::Acquire))
-            && shared.tasks.iter().all(StealQueue::is_empty)
-        {
-            break;
-        }
-        std::thread::yield_now();
-    }
     Ok(out)
 }

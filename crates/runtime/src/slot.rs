@@ -66,9 +66,9 @@ pub struct HomeSlot {
     /// [`crate::ServingRuntime::enable_online`] installs a learner.
     online: Option<Box<OnlineLearner>>,
     state_sizes: Vec<usize>,
-    /// The flat-index → mini-action map, shared behind an `Arc` so a closed
-    /// inference batch can carry it to whichever worker steals the batch
-    /// without cloning the catalogue or touching this slot again.
+    /// The flat-index → mini-action map, shared behind an `Arc` so a parked
+    /// query can carry it into its batch without cloning the catalogue or
+    /// touching this slot again.
     agent_actions: Arc<Vec<MiniAction>>,
     /// The valid-action bitmask of the current `state` (bit `a` ⇔ flat
     /// action `a` allowed), sized once at construction; rebuilt in place

@@ -1,8 +1,7 @@
 //! The supervision layer that makes the serving runtime self-healing.
 //!
-//! A [`ShardSupervisor`] is a per-envelope guard: both shard loops (the
-//! sequential one and the work-stealing workers) call it in place of
-//! applying an event. It logs the envelope in the shard's [`ShardWal`]
+//! A [`ShardSupervisor`] is a per-envelope guard: the shard loop calls it
+//! in place of applying an event. It logs the envelope in the shard's [`ShardWal`]
 //! first, then applies it inside a `catch_unwind` panic boundary; batch
 //! execution stays outside the boundary. When applying an envelope dies —
 //! a worker panic, or a stall that overruns the virtual deadline — the
@@ -13,8 +12,8 @@
 //! discarded, then retries the envelope after a seeded exponential backoff
 //! charged in *virtual ticks* — the supervised path performs zero
 //! wall-clock calls unless a telemetry clock is injected (lint rule R2).
-//! Decisions already answered, whichever worker answered them, stand: the
-//! rebuilt state is bitwise the state they were snapshotted from.
+//! Decisions already answered stand: the rebuilt state is bitwise the state
+//! they were snapshotted from.
 //!
 //! Failure containment is layered (DESIGN.md §15):
 //!
@@ -45,7 +44,7 @@
 
 use crate::event::{DecisionSource, Envelope, EventKind, Outcome};
 use crate::runtime::ServeReport;
-use crate::shard::{self, Job, Roster, ShardOutput, Window};
+use crate::shard::{self, Roster, ShardOutput, Window};
 use crate::slot::HomeSlot;
 use crate::wal::{ShardWal, WalRecord};
 use jarvis::JarvisError;
@@ -221,9 +220,7 @@ impl RecoveryReport {
 /// A [`ServeReport`] plus the supervisor's recovery accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SupervisedReport {
-    /// The ordinary serve results: outcomes sorted by seq, and — threaded
-    /// supervised serving runs on the bounded ingest rings — every event
-    /// shed under [`crate::OverloadPolicy::Shed`] in `rejected`.
+    /// The ordinary serve results: outcomes sorted by seq.
     pub report: ServeReport,
     /// What the supervisor did.
     pub recovery: RecoveryReport,
@@ -255,7 +252,7 @@ enum Attempt {
 }
 
 /// One shard's supervision state, WAL and accounting: the per-envelope
-/// guard both shard loops call in place of [`shard::apply_event`].
+/// guard the shard loop calls in place of [`shard::apply_event`].
 pub(crate) struct ShardSupervisor<'a> {
     shard: usize,
     sup: &'a SupervisorConfig,
@@ -318,12 +315,11 @@ impl<'a> ShardSupervisor<'a> {
     pub(crate) fn guard(
         &mut self,
         slots: &mut BTreeMap<u64, HomeSlot>,
-        job: Job,
+        env: &Envelope,
         roster: &Roster<'_>,
         window: &mut Window,
         out: &mut ShardOutput,
     ) -> Result<(), JarvisError> {
-        let env = &job.env;
         self.wal.append(env.clone());
         let epoch = roster.epoch_of(env.seq);
         while self.recorded_swaps < epoch.min(roster.swaps.len()) {
@@ -334,7 +330,7 @@ impl<'a> ShardSupervisor<'a> {
         if self.degraded && matches!(env.kind, EventKind::Query { .. }) {
             self.fallback_decision(slots, env, out)?;
         } else {
-            self.supervise(slots, &job, roster, window, out)?;
+            self.supervise(slots, env, roster, window, out)?;
         }
         // Commit any fold this envelope landed — after the slot mutation
         // survived every failure path, never before.
@@ -349,19 +345,18 @@ impl<'a> ShardSupervisor<'a> {
         Ok(())
     }
 
-    /// Apply `job` until it lands, recovering after every failed attempt:
+    /// Apply `env` until it lands, recovering after every failed attempt:
     /// drop what the attempt added, answer the queries still parked (their
     /// snapshots predate the failure), rebuild the slots from the WAL, then
     /// retry — or quarantine the query, or degrade the shard.
     fn supervise(
         &mut self,
         slots: &mut BTreeMap<u64, HomeSlot>,
-        job: &Job,
+        env: &Envelope,
         roster: &Roster<'_>,
         window: &mut Window,
         out: &mut ShardOutput,
     ) -> Result<(), JarvisError> {
-        let env = &job.env;
         let clock = roster.clock;
         let is_query = matches!(env.kind, EventKind::Query { .. });
         let mut fired = 0u32;
@@ -369,7 +364,7 @@ impl<'a> ShardSupervisor<'a> {
         let mut crashed_at = None;
         loop {
             let marks = (out.outcomes.len(), window.len());
-            let cause = match self.attempt(slots, job, clock, &mut fired, window, out)? {
+            let cause = match self.attempt(slots, env, clock, &mut fired, window, out)? {
                 Attempt::Applied => break,
                 Attempt::Overrun => FailureCause::DeadlineOverrun,
                 Attempt::Panicked => FailureCause::Panic,
@@ -403,7 +398,7 @@ impl<'a> ShardSupervisor<'a> {
                 if is_query {
                     self.fallback_decision(slots, env, out)?;
                 } else if !matches!(
-                    self.attempt(slots, job, clock, &mut fired, window, out)?,
+                    self.attempt(slots, env, clock, &mut fired, window, out)?,
                     Attempt::Applied
                 ) {
                     // Monitor-path work continues directly (chaos no longer
@@ -459,20 +454,20 @@ impl<'a> ShardSupervisor<'a> {
         (fired < attempts).then_some(fire.kind)
     }
 
-    /// One guarded attempt at applying `job`: arm any scheduled chaos,
+    /// One guarded attempt at applying `env`: arm any scheduled chaos,
     /// apply the event inside a panic boundary, and classify the result.
     /// `fired` counts the envelope's chaos fires; it models the external
     /// failure process, so recovery never rolls it back.
     fn attempt(
         &mut self,
         slots: &mut BTreeMap<u64, HomeSlot>,
-        job: &Job,
+        env: &Envelope,
         clock: Option<fn() -> u64>,
         fired: &mut u32,
         window: &mut Window,
         out: &mut ShardOutput,
     ) -> Result<Attempt, JarvisError> {
-        let seq = job.env.seq;
+        let seq = env.seq;
         let armed = self.armed(seq, *fired);
         if let Some(ChaosKind::Stall { ticks, .. }) = armed {
             *fired += 1;
@@ -486,8 +481,7 @@ impl<'a> ShardSupervisor<'a> {
         }
         let learn = !self.degraded;
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            let job = Job { env: job.env.clone(), enqueued: job.enqueued };
-            let applied = shard::apply_event(slots, job, clock, learn, window, out);
+            let applied = shard::apply_event(slots, env, clock, learn, window, out);
             if applied.is_ok() {
                 if let Some(ChaosKind::Panic { .. }) = armed {
                     // Fire *after* the event mutated the slot: recovery must
@@ -523,8 +517,7 @@ impl<'a> ShardSupervisor<'a> {
         let (mut window, mut out) = (Window::default(), ShardOutput::default());
         for env in suffix {
             let learn = !self.degraded && !self.quarantined.contains(&env.seq);
-            let job = Job { env: env.clone(), enqueued: None };
-            shard::apply_event(slots, job, None, learn, &mut window, &mut out)?;
+            shard::apply_event(slots, env, None, learn, &mut window, &mut out)?;
         }
         Ok(suffix.len())
     }

@@ -151,7 +151,6 @@ fn online_serving_is_bitwise_invariant_across_shards_and_modes() {
             let ingest = rt.ingest_fleet_day(&fleet, 1, None, Some(query_every())).expect("ingest");
             assert_eq!(envelopes, ingest.envelopes, "ingest is shard-count independent");
             let report = rt.serve(ingest.envelopes).expect("serve");
-            assert!(report.rejected.is_empty(), "Block serving never sheds");
             let what = format!("online, {shards} shards, deterministic={deterministic}");
             assert_outcomes_bit_identical(&want, &report.outcomes, &what);
             assert_eq!(want_snap, fleet_state(&rt), "{what}: snapshot bytes differ");

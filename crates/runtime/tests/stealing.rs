@@ -1,7 +1,8 @@
-//! Work-stealing invariants: whatever the shard count, steal schedule,
-//! batching mode, or placement, the served outcome stream is bitwise
-//! identical to the single-shard oracle — stealing moves work, never
-//! answers.
+//! Shard-executor invariants: whatever the shard count, execution mode,
+//! batching window, or placement, the served outcome stream is bitwise
+//! identical to the single-shard oracle — the thread that runs a shard
+//! never changes its answers. (The file keeps the name of the
+//! work-stealing loop it was written against.)
 //!
 //! The fixture's learning phase scales down under Miri (`cfg(miri)`); the
 //! properties checked are identical.
@@ -83,7 +84,6 @@ fn outputs_are_invariant_across_shard_counts_det_and_threaded() {
             let ingest = rt.ingest_fleet_day(&fleet, 1, None, Some(30)).expect("ingest");
             assert_eq!(envelopes, ingest.envelopes, "ingest is shard-count independent");
             let report = rt.serve(ingest.envelopes).expect("serve");
-            assert!(report.rejected.is_empty(), "Block serving never sheds");
             assert_outcomes_bit_identical(
                 &want,
                 &report.outcomes,
@@ -98,14 +98,14 @@ fn steal_schedule_permutations_do_not_change_outputs() {
     let f = fixture();
     let fleet = FleetGenerator::new(67, 8);
     let (_, want) = oracle(&f, &fleet, 2);
-    // Eight shards and small windows: many batches, stolen in ring order
-    // at whatever moment a sibling runs idle.
+    // Eight shards on the worker pool and small windows: many batches,
+    // answered on whichever thread claims each shard.
     let mut config = RuntimeConfig::new(8);
     config.batch_window = 4;
     let mut rt = build_runtime(&f, config, fleet.num_homes());
     let ingest = rt.ingest_fleet_day(&fleet, 2, None, Some(30)).expect("ingest");
     let report = rt.serve(ingest.envelopes).expect("serve");
-    assert_outcomes_bit_identical(&want, &report.outcomes, "ring steal order");
+    assert_outcomes_bit_identical(&want, &report.outcomes, "8 pooled shards");
 }
 
 #[test]
@@ -113,30 +113,25 @@ fn adaptive_and_fixed_batch_windows_agree() {
     let f = fixture();
     let fleet = FleetGenerator::new(71, 4);
     let (_, want) = oracle(&f, &fleet, 0);
-    // A worker throttled below the router's pace never sees its ring run
-    // dry before the stream ends, so its windows close only when they fill
-    // (fixed windows); an unthrottled worker keeps catching up with the
-    // router and closes them adaptively.
-    for throttle_ns in [0u64, 20_000] {
-        for batch_window in [1usize, 16, 256] {
-            let mut config = RuntimeConfig::new(4);
-            config.worker_throttle_ns = throttle_ns;
-            config.batch_window = batch_window;
-            let mut rt = build_runtime(&f, config, fleet.num_homes());
-            let ingest = rt.ingest_fleet_day(&fleet, 0, None, Some(30)).expect("ingest");
-            let report = rt.serve(ingest.envelopes).expect("serve");
-            assert_outcomes_bit_identical(
-                &want,
-                &report.outcomes,
-                &format!("throttle={throttle_ns}ns window={batch_window}"),
-            );
-        }
+    // Windows from single-row to larger than any shard's share of the
+    // stream (closed only at the end) answer identically.
+    for batch_window in [1usize, 16, 256] {
+        let mut config = RuntimeConfig::new(4);
+        config.batch_window = batch_window;
+        let mut rt = build_runtime(&f, config, fleet.num_homes());
+        let ingest = rt.ingest_fleet_day(&fleet, 0, None, Some(30)).expect("ingest");
+        let report = rt.serve(ingest.envelopes).expect("serve");
+        assert_outcomes_bit_identical(
+            &want,
+            &report.outcomes,
+            &format!("window={batch_window}"),
+        );
     }
 }
 
 /// One hot home receives the overwhelming majority of the stream while
-/// seven idle homes barely tick: the threaded work-stealing run must still
-/// answer byte-identically to the single-shard oracle, and load-aware
+/// seven idle homes barely tick: the threaded run must still answer
+/// byte-identically to the single-shard oracle, and load-aware
 /// placement must isolate the hot home on its own shard.
 #[test]
 fn skewed_hot_home_with_stealing_matches_single_shard_oracle() {
@@ -218,10 +213,9 @@ fn fleet_state(rt: &ServingRuntime) -> String {
     snap.to_json()
 }
 
-/// Threaded workers throttled below the router's pace fill their 64-query
-/// windows, and both swaps land in the middle of one: each window must
-/// close at the swap and every batch — whoever steals it — run under the
-/// epoch its queries were parked in. Outcomes, snapshot bytes (learned
+/// Threaded shards fill their 64-query windows, and both swaps land in the
+/// middle of one: each window must close at the swap and every batch run
+/// under the epoch its queries were parked in. Outcomes, snapshot bytes (learned
 /// tables, store, swap history) and the candidate's shadow score all match
 /// the single-shard deterministic oracle bit for bit.
 #[test]
@@ -262,12 +256,11 @@ fn stealing_batches_never_span_a_swap() {
     for shards in [2usize, 4] {
         let mut config = RuntimeConfig::new(shards);
         config.batch_window = 64;
-        config.worker_throttle_ns = 20_000;
         let (mut rt, _) = swap_runtime(&f, config, fleet.num_homes());
         let ingest = rt.ingest_fleet_day(&fleet, 1, None, Some(15)).expect("ingest");
         assert_eq!(envelopes, ingest.envelopes);
         let got = rt.serve_online(ingest.envelopes, &swaps).expect("threaded serve_online");
-        let what = format!("{shards} shards, throttled");
+        let what = format!("{shards} threaded shards");
         assert_outcomes_bit_identical(&want, &got.outcomes, &what);
         assert_eq!(want_state, fleet_state(&rt), "{what}: snapshot bytes differ");
         let score = format!("{:?}", rt.policy_store().expect("store").score());
@@ -316,8 +309,8 @@ fn quantized_serving_is_invariant_across_shards_and_modes() {
     assert!(want.iter().any(|o| matches!(o, Outcome::Decision { .. })));
 
     // Every shard count × execution mode reproduces it bit for bit: the
-    // int8 forward is i32-associative, so batch grouping, stealing, and
-    // pool scheduling cannot move a single bit.
+    // int8 forward is i32-associative, so batch grouping and pool
+    // scheduling cannot move a single bit.
     for shards in [2usize, 4] {
         for deterministic in [true, false] {
             let mut config = RuntimeConfig::new(shards);

@@ -186,10 +186,10 @@ fn threaded_supervised_matches_deterministic_supervised() {
     assert_eq!(det_snap, thr_snap);
     assert_eq!(det.recovery, thr.recovery, "recovery accounting must be mode-invariant");
 
-    // Stolen batches under recovery: throttled workers and a hot home make
-    // siblings steal 4-query batches, and 128-envelope checkpoints make
-    // each crash's replay suffix span batches another worker already ran,
-    // across two swaps with a shadow candidate scored alongside.
+    // Batches under recovery: a hot home on a shard of its own, 4-query
+    // windows, and 128-envelope checkpoints make each crash's replay
+    // suffix span batches already answered, across two swaps with a
+    // shadow candidate scored alongside.
     for shards in [2usize, 4] {
         let det = stolen_batch_run(&f, &fleet, &plan, shards, true);
         let thr = stolen_batch_run(&f, &fleet, &plan, shards, false);
@@ -220,7 +220,7 @@ struct StolenBatchRun {
 
 /// Serve the fleet day plus a hot home 0 (re-ingested with a query every
 /// few minutes, so load-aware placement gives it a shard of its own) under
-/// supervision: throttled workers, 4-query windows, a checkpoint every 128
+/// supervision: 4-query windows, a checkpoint every 128
 /// envelopes, an unlimited restart budget, two swaps, a staged candidate.
 fn stolen_batch_run(
     f: &Fixture,
@@ -232,7 +232,6 @@ fn stolen_batch_run(
     let mut config = det_config(shards);
     config.deterministic = deterministic;
     config.batch_window = 4;
-    config.worker_throttle_ns = 20_000;
     let (mut rt, alt) = online_runtime_on(f, config, OnlineConfig::default(), fleet.num_homes());
     let mut cfg = f.policy.config().clone();
     cfg.seed = 123;

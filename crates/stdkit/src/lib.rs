@@ -11,7 +11,6 @@
 //! | [`json`] | `serde`, `serde_json` | `Json` tree, strict parser, `ToJson`/`FromJson`, `json_struct!`/`json_newtype!`/`json_enum!` derives |
 //! | [`propcheck`] | `proptest` | seeded property harness, choice-tape shrinking, `prop_assert*!` macros |
 //! | [`bench`] | `criterion` | warmup+sampling micro-bench runner, `bench_group!`/`bench_main!` |
-//! | [`sync`] | `crossbeam-deque` | lock-free bounded MPMC steal queues |
 //! | [`pool`] | `rayon` (scoped pools) | scoped fork/join over `std::thread::scope`: caller participation, atomic task claiming, lowest-index panic re-raise |
 //! | [`alloc`] | allocation-counting test allocators | `CountingAlloc`, a per-thread counting `GlobalAlloc` over `System` for allocation-budget tests |
 //!
@@ -27,4 +26,3 @@ pub mod json;
 pub mod pool;
 pub mod propcheck;
 pub mod rng;
-pub mod sync;

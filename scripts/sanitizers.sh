@@ -1,12 +1,8 @@
 #!/usr/bin/env sh
-# Opt-in dynamic-analysis pass for the hand-rolled concurrency primitives
-# (crates/stdkit/src/sync.rs: the lock-free StealQueue ring under the
-# threaded work-stealing serving runtime; crates/stdkit/src/pool.rs: the
-# scoped fan-out behind per-home fine-tuning, safe code over
-# std::thread::scope and an atomic task counter). The `sync` and `pool`
-# test filters pick up the whole battery: FIFO/lap ordering, full/empty
-# boundaries, drop-with-pending leak checks, the seeded router/worker,
-# owner-vs-thieves, and MPMC interleaving stress tests, plus the pool's
+# Opt-in dynamic-analysis pass for the hand-rolled concurrency primitive
+# (crates/stdkit/src/pool.rs: the scoped fan-out behind threaded serving
+# and per-home fine-tuning, safe code over std::thread::scope and an
+# atomic task counter). The `pool` test filter picks up its whole battery:
 # exactly-once claiming with more tasks than threads, panic containment
 # and lowest-index payload choice, and nested-call progress.
 #
@@ -17,9 +13,9 @@
 # best at breaking. Miri never reaches the SIMD intrinsics: under
 # cfg(miri), SimdTier::detect() is Scalar (crates/neural/src/gemm.rs).
 #
-# So does the work-stealing battery (crates/runtime/tests/stealing.rs):
-# threaded serving, supervised or not, runs on the StealQueue ingest rings
-# and run queues, with idle workers stealing closed batches from siblings.
+# So does the shard-executor battery (crates/runtime/tests/stealing.rs):
+# threaded serving, supervised or not, runs each shard as one task on the
+# worker pool, borrowing its homes and supervisor across threads.
 #
 # The continual-learning battery (crates/runtime/tests/online.rs) rides
 # along too: background fine-tuning runs per-home replay passes through the
@@ -35,7 +31,7 @@
 # them: every annotated site must live in a module driven here under TSan
 # and Miri, which check_ordering_coverage enforces below. Data races are
 # out of static reach, so this script drives ThreadSanitizer and Miri
-# at the stdkit sync and pool tests. Both require a NIGHTLY toolchain with
+# at the stdkit pool tests. Both require a NIGHTLY toolchain with
 # the matching components (rust-src for -Zbuild-std, miri). The script is
 # NOT part of scripts/verify.sh — the pinned toolchain in the offline image
 # is stable — and exits 0 with a notice when nightly is unavailable, so it
@@ -52,14 +48,14 @@ target="$(rustc -vV | awk '/^host:/ { print $2 }')"
 # Every R8 `// ordering:` annotation admits a non-default atomic ordering on
 # the strength of a prose argument. Keep those arguments honest: the file
 # holding one must be in the set this script actually exercises under
-# TSan/Miri (stdkit sync + pool test filters, runtime via the supervision,
+# TSan/Miri (the stdkit pool test filter, runtime via the supervision,
 # stealing and online test targets). A new annotation in an undriven module means
 # either extend the batteries here or move the atomic behind a driven API.
 check_ordering_coverage() {
     uncovered=0
     for f in $(grep -rl -- '// ordering:' crates/*/src 2>/dev/null || true); do
         case "$f" in
-            crates/stdkit/src/sync.rs | crates/stdkit/src/pool.rs) ;;
+            crates/stdkit/src/pool.rs) ;;
             crates/runtime/src/*) ;;
             # The analyzer necessarily spells its own tag in rule docs and
             # violation messages; the lint engine itself is single-threaded
@@ -99,15 +95,15 @@ run_tsan() {
         echo "sanitizers: nightly rust-src not installed (needed for -Zbuild-std); skipping TSan"
         return 0
     fi
-    echo "==> ThreadSanitizer: jarvis-stdkit sync + pool tests (StealQueue, WorkerPool)"
+    echo "==> ThreadSanitizer: jarvis-stdkit pool tests (WorkerPool)"
     RUSTFLAGS="-Zsanitizer=thread" \
-        cargo +nightly test --offline -p jarvis-stdkit sync pool \
+        cargo +nightly test --offline -p jarvis-stdkit pool \
         -Zbuild-std --target "$target"
     echo "==> ThreadSanitizer: jarvis-runtime supervision battery (supervisor, WAL, chaos recovery)"
     RUSTFLAGS="-Zsanitizer=thread" \
         cargo +nightly test --offline -p jarvis-runtime --test supervision \
         -Zbuild-std --target "$target"
-    echo "==> ThreadSanitizer: jarvis-runtime work-stealing battery (rings, run queues, steals)"
+    echo "==> ThreadSanitizer: jarvis-runtime shard-executor battery (pooled shards, swaps)"
     RUSTFLAGS="-Zsanitizer=thread" \
         cargo +nightly test --offline -p jarvis-runtime --test stealing \
         -Zbuild-std --target "$target"
@@ -122,11 +118,11 @@ run_miri() {
         echo "sanitizers: nightly miri not installed; skipping Miri"
         return 0
     fi
-    echo "==> Miri: jarvis-stdkit sync + pool tests (StealQueue, WorkerPool)"
-    cargo +nightly miri test --offline -p jarvis-stdkit sync pool
+    echo "==> Miri: jarvis-stdkit pool tests (WorkerPool)"
+    cargo +nightly miri test --offline -p jarvis-stdkit pool
     echo "==> Miri: jarvis-runtime supervision battery (supervisor, WAL, chaos recovery)"
     cargo +nightly miri test --offline -p jarvis-runtime --test supervision
-    echo "==> Miri: jarvis-runtime work-stealing battery (rings, run queues, steals)"
+    echo "==> Miri: jarvis-runtime shard-executor battery (pooled shards, swaps)"
     cargo +nightly miri test --offline -p jarvis-runtime --test stealing
     echo "==> Miri: jarvis-runtime continual-learning battery (fine-tune pool, swaps)"
     cargo +nightly miri test --offline -p jarvis-runtime --test online

@@ -55,10 +55,12 @@ if [ "${1:-}" = "--quick" ]; then
 
     # Serving-runtime gates against the recorded BENCH_runtime.json:
     # >2x throughput regression of the gated batched path, shard-4 p99
-    # above p99_ratio_gate times shard-1 p99, the one-panic-per-499
+    # above p99_ratio_gate times shard-1 p99 (latency is stamped at a
+    # query's first touch; shards run as pool tasks, with no ingest ring
+    # or batch stealing), the one-panic-per-499
     # chaos run not bitwise identical to the uninterrupted oracle
     # (recovery-determinism smoke) — sequential, at 4 threaded shards on
-    # the work-stealing workers, and with online learning and two swaps —
+    # the worker pool, and with online learning and two swaps —
     # degraded-mode throughput below
     # degraded_ratio_gate times healthy, the hot-swap stall above one
     # batch window, or the drift-adaptation gate (continual false alarms
@@ -108,7 +110,8 @@ echo "==> continual-learning battery (cargo test -p jarvis-runtime --test online
 cargo test -q --offline -p jarvis-runtime --test online
 
 # Serving-runtime smoke: the gated 64-home batched-inference pair, the
-# threaded shard-1/shard-4 tail-latency pair, the one-panic recovery runs
+# threaded shard-1/shard-4 tail-latency pair (first touch → decision; each
+# shard is one worker-pool task), the one-panic recovery runs
 # (bitwise recovery-determinism gates: sequential, 4 threaded shards, and
 # online with two swaps), and degraded-mode throughput, checked against
 # the recorded BENCH_runtime.json.

